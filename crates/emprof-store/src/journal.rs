@@ -33,8 +33,8 @@ use emprof_obs as obs;
 
 use crate::record::{Record, SegmentFooter};
 use crate::segment::{
-    encode_record_frame, encode_segment_header, parse_segment_file_name, scan_segment,
-    segment_file_name, SEGMENT_HEADER_LEN,
+    encode_record_frame, encode_samples_frame, encode_segment_header, parse_segment_file_name,
+    scan_segment, segment_file_name, SEGMENT_HEADER_LEN,
 };
 
 /// Journal tuning knobs.
@@ -105,12 +105,22 @@ struct SegmentInfo {
 
 impl SegmentInfo {
     fn note_record(&mut self, rec: &Record, frame_len: u64) {
-        self.bytes += frame_len;
-        self.records += 1;
+        self.note_frame(frame_len);
         self.stats.note(rec);
         if matches!(rec, Record::Samples { .. }) {
             self.has_samples = true;
         }
+    }
+
+    fn note_samples(&mut self, count: usize, frame_len: u64) {
+        self.note_frame(frame_len);
+        self.stats.note_samples(count);
+        self.has_samples = true;
+    }
+
+    fn note_frame(&mut self, frame_len: u64) {
+        self.bytes += frame_len;
+        self.records += 1;
     }
 }
 
@@ -326,7 +336,7 @@ impl Journal {
     pub fn roll(&mut self) -> io::Result<()> {
         if self.cfg.write_footers && self.active.records > 0 {
             // Seal the segment with its statistics footer so range
-            // queries can prune it with one O(1) tail read. The footer
+            // queries can skip folding its events. The footer
             // is an ordinary CRC-framed record: legacy readers scan
             // straight over it, and SegmentFooter::note ignores footer
             // records, so its statistics describe only the data frames.
@@ -350,13 +360,32 @@ impl Journal {
     /// (the torn bytes, if any, are repaired by the next open).
     pub fn append(&mut self, rec: &Record) -> io::Result<u64> {
         let frame = encode_record_frame(rec);
-        self.writer.write_all(&frame)?;
+        let index = self.write_frame(&frame)?;
+        self.active.note_record(rec, frame.len() as u64);
+        Ok(index)
+    }
+
+    /// Appends a [`Record::Samples`] record encoded straight from the
+    /// borrowed batch (the bytes on disk are identical to appending the
+    /// owned record), returning its journal index.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::append`].
+    pub(crate) fn append_samples(&mut self, seq: u64, samples: &[f64]) -> io::Result<u64> {
+        let frame = encode_samples_frame(seq, samples);
+        let index = self.write_frame(&frame)?;
+        self.active.note_samples(samples.len(), frame.len() as u64);
+        Ok(index)
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> io::Result<u64> {
+        self.writer.write_all(frame)?;
         if self.cfg.sync_on_append {
             self.writer.sync_data()?;
         }
         let index = self.next_index;
         self.next_index += 1;
-        self.active.note_record(rec, frame.len() as u64);
         obs::counter_add!("store.appends", 1);
         obs::counter_add!("store.bytes_written", frame.len() as u64);
         Ok(index)
@@ -599,22 +628,25 @@ mod tests {
 
     #[test]
     fn roll_writes_footer_and_recovery_replays_through_it() {
-        use crate::segment::read_segment_footer;
+        use crate::segment::scan_segment;
         let dir = tmp_dir("footer");
         let mut j = Journal::open(&dir).unwrap().journal;
         j.append(&events(1, 3)).unwrap();
         j.append(&cursor(3)).unwrap();
         let sealed_path = j.active.path.clone();
         j.roll().unwrap();
-        let footer = read_segment_footer(&sealed_path)
-            .unwrap()
-            .expect("sealed segment carries a footer");
+        let sealed = scan_segment(&sealed_path).unwrap().unwrap();
+        assert!(!sealed.torn);
+        let Some((2, Record::Footer(footer))) = sealed.records.last() else {
+            panic!("sealed segment ends in a footer");
+        };
         assert_eq!(footer.record_count, 2);
         assert_eq!(footer.event_count, 3);
         assert_eq!((footer.min_event_seq, footer.max_event_seq), (1, 3));
         assert_eq!((footer.min_event_start, footer.max_event_end), (0, 210));
         // The active segment has no footer yet.
-        assert_eq!(read_segment_footer(&j.active.path).unwrap(), None);
+        let active = scan_segment(&j.active.path).unwrap().unwrap();
+        assert!(active.records.is_empty());
         j.append(&cursor(4)).unwrap();
         drop(j);
         // Recovery replays through the footer record; the fold layers

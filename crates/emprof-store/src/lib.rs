@@ -10,10 +10,11 @@
 //!
 //! Layers, bottom-up:
 //!
-//! - [`crc`] — dependency-free CRC-32 (IEEE) for at-rest integrity.
+//! - [`crc`] — dependency-free slice-by-16 CRC-32 (IEEE) for at-rest
+//!   integrity.
 //! - [`record`] — record kinds ([`Record`]) and their payload codec.
 //! - [`segment`] — on-disk framing: segment header + CRC-framed
-//!   records, and the torn-tail scanner.
+//!   records, and the one copy-free framing walker every reader uses.
 //! - [`journal`] — [`Journal`]: the multi-segment append log with
 //!   longest-valid-prefix recovery and whole-segment compaction.
 //! - [`session`] — [`SessionJournal`]: the serve-facing layer owning
@@ -66,5 +67,4 @@ pub use query::{
     MAX_TIMELINE_BUCKETS,
 };
 pub use record::{Record, RecordKind, SegmentFooter, SessionMeta, FOOTER_PAYLOAD_LEN};
-pub use segment::read_segment_footer;
 pub use session::{read_session, RecoveredSession, SessionJournal};

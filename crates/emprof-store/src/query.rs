@@ -21,16 +21,19 @@
 //!    at the first segment anomaly (duplicate base, bad header,
 //!    overlapping coverage, torn tail) exactly where recovery would
 //!    discard the rest of the journal.
-//! 2. Footer pruning only skips a segment when its event interval
-//!    `[min_event_start, max_event_end]` cannot intersect `[t0, t1]`,
-//!    so a pruned segment can never hold an in-range event. (This
-//!    leans on the append path journaling each event sequence exactly
-//!    once, which the delivery layer guarantees.)
+//! 2. Footer pruning only skips folding a segment's events when its
+//!    event interval `[min_event_start, max_event_end]` cannot
+//!    intersect `[t0, t1]`, so a pruned segment can never hold an
+//!    in-range event. (This leans on the append path journaling each
+//!    event sequence exactly once, which the delivery layer
+//!    guarantees.) Pruning never skips validating the segment's
+//!    frames: a footer vouches for statistics, not for the frames
+//!    before it, and recovery stops at the first undecodable one.
 //! 3. The cache stores fully decoded sealed segments validated by file
 //!    stat on every hit, so the hit path folds the same records the
 //!    cold path would read.
 //!
-//! Reads are strictly read-only ([`scan_segment`], never
+//! Reads are strictly read-only (segment scans, never
 //! [`crate::journal::Journal::open`], which repairs in place), so
 //! querying a live server's journals is safe. Ack-driven compaction
 //! can still delete a segment between the directory listing and the
@@ -48,8 +51,8 @@ use emprof_obs::metrics::LogHistogram;
 use emprof_obs::HistogramSnapshot;
 
 use crate::cache::{DecodedSegment, SegmentCache};
-use crate::record::{Record, SessionMeta};
-use crate::segment::{parse_segment_file_name, read_segment_footer, scan_segment};
+use crate::record::{check_samples_payload, DecodeError, Record, RecordKind, SessionMeta};
+use crate::segment::{parse_segment_file_name, scan_segment_with};
 
 /// Upper bound on event-rate timeline buckets per query.
 pub const MAX_TIMELINE_BUCKETS: u64 = 4096;
@@ -130,8 +133,9 @@ pub struct QuerySessionRow {
 pub struct QueryAccounting {
     /// Segments whose records were folded (from disk or cache).
     pub segments_scanned: u64,
-    /// Segments skipped outright because their footer proved they hold
-    /// no in-range events.
+    /// Segments whose footer proved they hold no in-range events, so
+    /// none of their events were folded. Read from disk, such a segment
+    /// is still walked and validated; from the cache it needs no read.
     pub segments_pruned: u64,
     /// Decoded-segment cache hits.
     pub cache_hits: u64,
@@ -431,22 +435,7 @@ fn query_session_once(
             }
             acct.cache_misses += 1;
         }
-        if i > 0 {
-            // A tail footer proves the segment is sealed (written and
-            // synced in full before the roll), so it cannot be torn
-            // and its event interval is trustworthy without a scan.
-            if let Some(footer) = read_segment_footer(path)? {
-                if *base < next_index {
-                    break;
-                }
-                if !footer.overlaps(spec.t0, spec.t1) {
-                    acct.segments_pruned += 1;
-                    next_index = *base + footer.record_count + 1;
-                    continue;
-                }
-            }
-        }
-        let Some(scan) = scan_segment(path)? else {
+        let Some(scan) = scan_segment_with(path, decode_for_query)? else {
             // Invalid header: recovery drops this file and everything
             // after it.
             break;
@@ -457,16 +446,15 @@ fn query_session_once(
             // corruption, end of the valid prefix.
             break;
         }
-        acct.segments_scanned += 1;
         let mut seg_meta: Option<SessionMeta> = None;
         let mut seg_events: Vec<(u64, StallEvent)> = Vec::new();
         for (_, rec) in &scan.records {
             match rec {
-                Record::Meta(m) => seg_meta = Some(m.clone()),
-                Record::Events {
+                Some(Record::Meta(m)) => seg_meta = Some(m.clone()),
+                Some(Record::Events {
                     first_seq,
                     events: evs,
-                } => {
+                }) => {
                     for (k, ev) in evs.iter().enumerate() {
                         seg_events.push((first_seq + k as u64, *ev));
                     }
@@ -477,30 +465,37 @@ fn query_session_once(
         if let Some(m) = &seg_meta {
             meta = Some(m.clone());
         }
-        for (seq, ev) in &seg_events {
-            events.insert(*seq, *ev);
+        // Only a sealed segment — a clean scan ending in its footer — is
+        // immutable, so only its footer may prune it or the cache keep
+        // it. Pruning happens after the scan, never instead of it: a
+        // footer says nothing about the frames before it, and recovery
+        // stops at the first damaged one even in a sealed segment.
+        let footer = match scan.records.last() {
+            Some((_, Some(Record::Footer(footer)))) if !scan.torn => Some(*footer),
+            _ => None,
+        };
+        if i > 0 && footer.is_some_and(|f| !f.overlaps(spec.t0, spec.t1)) {
+            acct.segments_pruned += 1;
+        } else {
+            acct.segments_scanned += 1;
+            for (seq, ev) in &seg_events {
+                events.insert(*seq, *ev);
+            }
         }
         next_index = scan.base_index + scan.records.len() as u64;
-        // Only a sealed segment — clean scan ending in its footer, the
-        // same condition `read_segment_footer` validates — is immutable
-        // and safe to cache.
-        if let Some(c) = cache {
-            if !scan.torn {
-                if let Some((_, Record::Footer(footer))) = scan.records.last() {
-                    c.insert(
-                        dir,
-                        *base,
-                        Arc::new(DecodedSegment {
-                            base_index: *base,
-                            meta: seg_meta,
-                            events: seg_events,
-                            footer: *footer,
-                            file_len,
-                            modified,
-                        }),
-                    );
-                }
-            }
+        if let (Some(c), Some(footer)) = (cache, footer) {
+            c.insert(
+                dir,
+                *base,
+                Arc::new(DecodedSegment {
+                    base_index: *base,
+                    meta: seg_meta,
+                    events: seg_events,
+                    footer,
+                    file_len,
+                    modified,
+                }),
+            );
         }
         if scan.torn {
             // Recovery truncates a torn segment to its valid prefix
@@ -514,6 +509,18 @@ fn query_session_once(
         return Ok(None);
     };
     Ok(Some((meta, events.into_iter().collect(), acct)))
+}
+
+/// The query path's payload decoder. A SAMPLES record gets the same
+/// structural check [`Record::decode`] runs on it, so the scan stops at
+/// exactly the record recovery would, but its samples are never
+/// materialized (`None`); every other kind decodes in full.
+fn decode_for_query(kind: u8, payload: &[u8]) -> Result<Option<Record>, DecodeError> {
+    if kind == RecordKind::Samples as u8 {
+        check_samples_payload(payload)?;
+        return Ok(None);
+    }
+    Record::decode(kind, payload).map(Some)
 }
 
 #[cfg(test)]

@@ -19,17 +19,16 @@ pub const MAX_SAMPLES_PER_RECORD: u32 = 1 << 20;
 pub const MAX_EVENTS_PER_RECORD: u32 = 1 << 20;
 
 /// Exact encoded payload size of a [`Record::Footer`]: eleven 64-bit
-/// fields, nothing variable-length, so a reader can fetch a sealed
-/// segment's footer with a single fixed-size tail read.
+/// fields, nothing variable-length.
 pub const FOOTER_PAYLOAD_LEN: usize = 88;
 
 /// Per-segment statistics index, written as the *last* record of a
 /// segment when it is sealed at roll time.
 ///
 /// The footer is an ordinary CRC-framed record, so legacy readers that
-/// predate it still scan the segment cleanly; new readers use
-/// [`crate::segment::read_segment_footer`] to fetch it in O(1) and
-/// prune segments whose event range cannot intersect a query window.
+/// predate it still scan the segment cleanly. The query engine leaves
+/// out of its fold the events of segments whose event range cannot
+/// intersect a query window.
 /// Sentinel values make "no events" unambiguous: `min_*` fields are
 /// `u64::MAX` / `+inf` and `max_*` fields are `0` / `-inf` when the
 /// corresponding population is empty.
@@ -90,9 +89,7 @@ impl SegmentFooter {
     pub fn note(&mut self, rec: &Record) {
         match rec {
             Record::Footer(_) => return,
-            Record::Samples { samples, .. } => {
-                self.samples_count += samples.len() as u64;
-            }
+            Record::Samples { samples, .. } => return self.note_samples(samples.len()),
             Record::Events { first_seq, events } => {
                 for (i, e) in events.iter().enumerate() {
                     let seq = first_seq + i as u64;
@@ -113,6 +110,14 @@ impl SegmentFooter {
             }
             Record::Meta(_) | Record::Cursor { .. } | Record::Finished { .. } => {}
         }
+        self.record_count += 1;
+    }
+
+    /// Folds one SAMPLES record of `count` samples — what
+    /// [`SegmentFooter::note`] does for a [`Record::Samples`], for
+    /// writers that encode the batch without owning it.
+    pub(crate) fn note_samples(&mut self, count: usize) {
+        self.samples_count += count as u64;
         self.record_count += 1;
     }
 
@@ -305,6 +310,58 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&bytes[..len]);
 }
 
+/// Bytes ahead of the body of a SAMPLES or EVENTS payload: a sequence
+/// number (u64) and a count (u32).
+const BATCH_HEADER_LEN: usize = 12;
+
+/// Encoded size of one event in an EVENTS payload.
+const EVENT_LEN: usize = 25;
+
+/// Encoded size of a META payload ahead of its device string.
+const META_FIXED_LEN: usize = 161;
+
+/// The structural check of a SAMPLES payload, returning `(seq,
+/// count)`: `count` is within [`MAX_SAMPLES_PER_RECORD`] and the
+/// payload is exactly `12 + 8·count` bytes. Any bit pattern is a valid
+/// f64, so this accepts exactly the payloads [`Record::decode`]
+/// accepts — which lets the query path validate SAMPLES records
+/// without materializing them and still stop at the same record
+/// recovery does.
+///
+/// # Errors
+///
+/// [`DecodeError`] on truncation, an over-bound count, or trailing
+/// bytes.
+pub fn check_samples_payload(payload: &[u8]) -> Result<(u64, usize), DecodeError> {
+    let mut r = Reader::new(payload);
+    let seq = r.u64()?;
+    let count = r.u32()?;
+    if count > MAX_SAMPLES_PER_RECORD {
+        return Err(DecodeError("sample count exceeds bound"));
+    }
+    let count = count as usize;
+    match payload.len().cmp(&samples_payload_len(count)) {
+        std::cmp::Ordering::Less => Err(DecodeError("truncated payload")),
+        std::cmp::Ordering::Greater => Err(DecodeError("trailing bytes")),
+        std::cmp::Ordering::Equal => Ok((seq, count)),
+    }
+}
+
+/// Appends a SAMPLES payload for `seq` and `samples` — the encoding of
+/// [`Record::Samples`], straight from a borrowed batch.
+pub(crate) fn encode_samples_payload(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
+    for s in samples {
+        out.extend_from_slice(&s.to_le_bytes());
+    }
+}
+
+/// Encoded size of a SAMPLES payload holding `count` samples.
+pub(crate) fn samples_payload_len(count: usize) -> usize {
+    BATCH_HEADER_LEN + 8 * count
+}
+
 /// Event kind byte: bit 0 is the refresh classification, bit 1 the
 /// degraded-confidence mark, so replaying a journal reproduces exactly
 /// the confidence the live session reported.
@@ -367,7 +424,27 @@ impl Record {
 
     /// Encodes the payload (framing and CRC are the segment layer's).
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+        let mut p = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut p);
+        p
+    }
+
+    /// Exact size of [`Record::encode`]'s output, so a frame can be
+    /// built in one allocation.
+    pub(crate) fn encoded_len(&self) -> usize {
+        match self {
+            Record::Meta(m) => META_FIXED_LEN + 2 + m.device.len().min(MAX_STRING),
+            Record::Samples { samples, .. } => samples_payload_len(samples.len()),
+            Record::Events { events, .. } => BATCH_HEADER_LEN + EVENT_LEN * events.len(),
+            Record::Cursor { .. } => 8,
+            Record::Finished { .. } => 24,
+            Record::Footer(_) => FOOTER_PAYLOAD_LEN,
+        }
+    }
+
+    /// Appends the payload to `p`.
+    pub(crate) fn encode_into(&self, p: &mut Vec<u8>) {
+        let start = p.len();
         match self {
             Record::Meta(m) => {
                 p.extend_from_slice(&m.session_id.to_le_bytes());
@@ -392,20 +469,14 @@ impl Record {
                 p.extend_from_slice(&c.calib.degraded_exit.to_le_bytes());
                 p.extend_from_slice(&(c.calib.window_min as u64).to_le_bytes());
                 p.extend_from_slice(&c.calib.drift_tolerance.to_le_bytes());
-                put_string(&mut p, &m.device);
+                put_string(p, &m.device);
             }
-            Record::Samples { seq, samples } => {
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-                for s in samples {
-                    p.extend_from_slice(&s.to_le_bytes());
-                }
-            }
+            Record::Samples { seq, samples } => encode_samples_payload(p, *seq, samples),
             Record::Events { first_seq, events } => {
                 p.extend_from_slice(&first_seq.to_le_bytes());
                 p.extend_from_slice(&(events.len() as u32).to_le_bytes());
                 for e in events {
-                    encode_event(&mut p, e);
+                    encode_event(p, e);
                 }
             }
             Record::Cursor { acked_events } => {
@@ -432,10 +503,9 @@ impl Record {
                 p.extend_from_slice(&f.max_event_seq.to_le_bytes());
                 p.extend_from_slice(&f.min_duration_cycles.to_le_bytes());
                 p.extend_from_slice(&f.max_duration_cycles.to_le_bytes());
-                debug_assert_eq!(p.len(), FOOTER_PAYLOAD_LEN);
             }
         }
-        p
+        debug_assert_eq!(p.len() - start, self.encoded_len());
     }
 
     /// Decodes a payload whose CRC already verified.
@@ -485,15 +555,13 @@ impl Record {
                 })
             }
             RecordKind::Samples => {
-                let seq = r.u64()?;
-                let count = r.u32()?;
-                if count > MAX_SAMPLES_PER_RECORD {
-                    return Err(DecodeError("sample count exceeds bound"));
-                }
-                let mut samples = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    samples.push(r.f64()?);
-                }
+                let (seq, count) = check_samples_payload(payload)?;
+                r.take(BATCH_HEADER_LEN)?;
+                let samples = r
+                    .take(8 * count)?
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+                    .collect();
                 Record::Samples { seq, samples }
             }
             RecordKind::Events => {
@@ -712,6 +780,75 @@ mod tests {
                     let _ = Record::decode(kind, &buf);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn samples_check_accepts_exactly_what_decode_accepts() {
+        let good = Record::Samples {
+            seq: 4,
+            samples: vec![0.25, -1.0, f64::NAN],
+        }
+        .encode();
+        assert_eq!(check_samples_payload(&good), Ok((4, 3)));
+        let with_count = |count: u32| {
+            let mut p = good.clone();
+            p[8..12].copy_from_slice(&count.to_le_bytes());
+            p
+        };
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let cases = [
+            good.clone(),
+            with_count(2),
+            with_count(4),
+            with_count(MAX_SAMPLES_PER_RECORD + 1),
+            with_count(u32::MAX),
+            trailing,
+            good[..11].to_vec(),
+            Vec::new(),
+        ];
+        for payload in &cases {
+            let decoded = Record::decode(RecordKind::Samples as u8, payload);
+            assert_eq!(
+                check_samples_payload(payload).is_ok(),
+                decoded.is_ok(),
+                "{payload:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let recs = [
+            Record::Meta(meta()),
+            Record::Samples {
+                seq: 2,
+                samples: vec![1.0; 33],
+            },
+            Record::Events {
+                first_seq: 1,
+                events: vec![
+                    StallEvent {
+                        start_sample: 1,
+                        end_sample: 2,
+                        duration_cycles: 3.0,
+                        kind: StallKind::Normal,
+                        confidence: Confidence::High,
+                    };
+                    5
+                ],
+            },
+            Record::Cursor { acked_events: 1 },
+            Record::Finished {
+                samples_pushed: 1,
+                samples_rejected: 0,
+                last_samples_seq: 1,
+            },
+            Record::Footer(SegmentFooter::empty()),
+        ];
+        for rec in &recs {
+            assert_eq!(rec.encode().len(), rec.encoded_len(), "{:?}", rec.kind());
         }
     }
 }

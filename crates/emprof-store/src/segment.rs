@@ -17,20 +17,19 @@
 //!   9       len   payload
 //! ```
 //!
-//! Scanning validates the header, then walks records front to back.
-//! The first frame that is truncated, oversized, or CRC-corrupt ends
-//! the valid prefix: everything before it is intact (CRC-verified),
-//! everything from it on is treated as a torn write. Scanning never
-//! panics and allocates at most one bounded payload at a time beyond
-//! the file read itself.
+//! Every reader goes through one framing walker, `FrameWalker`: it
+//! validates the header, then walks records front to back. The first
+//! frame that is truncated, oversized, or CRC-corrupt ends the valid
+//! prefix: everything before it is intact (CRC-verified), everything
+//! from it on is treated as a torn write. Walking never panics and
+//! never copies a payload; payloads are borrowed from the file bytes.
 
 use std::fs;
 use std::io;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use crate::crc::crc32;
-use crate::record::{Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
+use crate::crc::{crc32, Crc32};
+use crate::record::{encode_samples_payload, samples_payload_len, Record, RecordKind};
 
 /// First eight bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"EMPROFJ1";
@@ -86,30 +85,157 @@ pub fn decode_segment_header(h: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(h[12..20].try_into().unwrap()))
 }
 
+/// Builds one record frame in a single buffer: a zeroed frame header,
+/// the payload `write` appends (exactly `payload_len` bytes), then the
+/// length, kind and CRC patched into the header in place.
+fn encode_frame(kind: RecordKind, payload_len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    debug_assert!(payload_len <= MAX_RECORD as usize, "record too large");
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload_len);
+    out.extend_from_slice(&[0u8; RECORD_HEADER_LEN]);
+    write(&mut out);
+    debug_assert_eq!(out.len(), RECORD_HEADER_LEN + payload_len);
+    let len = (out.len() - RECORD_HEADER_LEN) as u32;
+    out[0..4].copy_from_slice(&len.to_le_bytes());
+    out[4] = kind as u8;
+    let crc = frame_crc(out[4], &out[RECORD_HEADER_LEN..]);
+    out[5..9].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
 /// Serializes one record frame (header + payload) ready to append.
 pub fn encode_record_frame(rec: &Record) -> Vec<u8> {
-    let payload = rec.encode();
-    debug_assert!(payload.len() <= MAX_RECORD as usize, "record too large");
-    let kind = rec.kind() as u8;
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(&payload);
-    let crc = crc32(&crc_input);
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    encode_frame(rec.kind(), rec.encoded_len(), |out| rec.encode_into(out))
+}
+
+/// Serializes the frame of a [`Record::Samples`] record straight from a
+/// borrowed batch — byte-identical to `encode_record_frame` of the
+/// owned record, without copying the batch into one first.
+pub(crate) fn encode_samples_frame(seq: u64, samples: &[f64]) -> Vec<u8> {
+    encode_frame(RecordKind::Samples, samples_payload_len(samples.len()), |out| {
+        encode_samples_payload(out, seq, samples)
+    })
+}
+
+/// CRC-32 over a frame's kind byte followed by its payload.
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&[kind]);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// The one framing walker every segment reader goes through.
+///
+/// [`FrameWalker::new`] validates the segment header; iteration then
+/// yields `(journal index, kind, payload)` for each frame front to
+/// back, with the payload borrowed from the segment bytes. A frame
+/// that is truncated, longer than [`MAX_RECORD`], or fails its CRC
+/// (computed over the borrowed kind byte and payload, never a copy)
+/// ends the walk and marks it torn; so does a frame the caller rejects
+/// with [`FrameWalker::reject`]. [`FrameWalker::valid_len`] is then
+/// the end of the last accepted frame.
+#[derive(Debug)]
+pub(crate) struct FrameWalker<'a> {
+    bytes: &'a [u8],
+    base_index: u64,
+    /// End of the last accepted frame.
+    pos: usize,
+    /// Start of the frame most recently yielded (for `reject`).
+    yielded_at: usize,
+    next_index: u64,
+    torn: bool,
+    done: bool,
+}
+
+impl<'a> FrameWalker<'a> {
+    /// Starts a walk over a whole segment's bytes, or `None` when the
+    /// segment header is invalid.
+    pub(crate) fn new(bytes: &'a [u8]) -> Option<FrameWalker<'a>> {
+        let base_index = decode_segment_header(bytes)?;
+        Some(FrameWalker {
+            bytes,
+            base_index,
+            pos: SEGMENT_HEADER_LEN,
+            yielded_at: SEGMENT_HEADER_LEN,
+            next_index: base_index,
+            torn: false,
+            done: false,
+        })
+    }
+
+    /// The header's base index.
+    pub(crate) fn base_index(&self) -> u64 {
+        self.base_index
+    }
+
+    /// Byte offset of the end of the last accepted frame.
+    pub(crate) fn valid_len(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether the walk ended at a damaged or rejected frame rather
+    /// than at the end of the bytes.
+    pub(crate) fn torn(&self) -> bool {
+        self.torn
+    }
+
+    /// Rejects the frame just yielded — CRC-valid but undecodable, a
+    /// format mismatch treated like corruption — ending the walk before
+    /// it. Call it only right after [`Iterator::next`] yielded a frame.
+    pub(crate) fn reject(&mut self) {
+        debug_assert!(!self.done && self.pos > self.yielded_at, "no frame to reject");
+        self.pos = self.yielded_at;
+        self.next_index -= 1;
+        self.torn = true;
+        self.done = true;
+    }
+
+    fn stop(&mut self, torn: bool) -> Option<(u64, u8, &'a [u8])> {
+        self.torn = torn;
+        self.done = true;
+        None
+    }
+}
+
+impl<'a> Iterator for FrameWalker<'a> {
+    type Item = (u64, u8, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let rest = &self.bytes[self.pos..];
+        if rest.is_empty() {
+            return self.stop(false);
+        }
+        if rest.len() < RECORD_HEADER_LEN {
+            return self.stop(true);
+        }
+        let len = u32::from_le_bytes(rest[0..4].try_into().unwrap());
+        let kind = rest[4];
+        let crc = u32::from_le_bytes(rest[5..9].try_into().unwrap());
+        if len > MAX_RECORD || rest.len() - RECORD_HEADER_LEN < len as usize {
+            return self.stop(true);
+        }
+        let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len as usize];
+        if frame_crc(kind, payload) != crc {
+            return self.stop(true);
+        }
+        let index = self.next_index;
+        self.yielded_at = self.pos;
+        self.pos += RECORD_HEADER_LEN + len as usize;
+        self.next_index += 1;
+        Some((index, kind, payload))
+    }
 }
 
 /// The outcome of scanning one segment file.
 #[derive(Debug)]
-pub struct SegmentScan {
+pub struct SegmentScan<T = Record> {
     /// The header's base index.
     pub base_index: u64,
     /// Every CRC-valid record, paired with its journal index.
-    pub records: Vec<(u64, Record)>,
+    pub records: Vec<(u64, T)>,
     /// Byte offset of the end of the last valid record — the length the
     /// file must be truncated to if `torn` is set.
     pub valid_len: u64,
@@ -126,109 +252,44 @@ pub struct SegmentScan {
 /// Propagates I/O failures reading the file; corruption is *not* an
 /// error, it shortens the valid prefix instead.
 pub fn scan_segment(path: &Path) -> io::Result<Option<SegmentScan>> {
+    scan_segment_with(path, Record::decode)
+}
+
+/// [`scan_segment`] with a caller-chosen payload decoder. A frame
+/// whose payload `decode` rejects ends the valid prefix exactly as a
+/// CRC failure does, so a decoder that accepts the same payloads as
+/// [`Record::decode`] stops at the same record recovery stops at.
+///
+/// # Errors
+///
+/// Propagates I/O failures reading the file.
+pub(crate) fn scan_segment_with<T, E>(
+    path: &Path,
+    mut decode: impl FnMut(u8, &[u8]) -> Result<T, E>,
+) -> io::Result<Option<SegmentScan<T>>> {
     let bytes = fs::read(path)?;
-    let Some(base_index) = decode_segment_header(&bytes) else {
+    let Some(mut frames) = FrameWalker::new(&bytes) else {
         return Ok(None);
     };
     let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER_LEN;
-    let mut index = base_index;
-    let mut torn = false;
-    loop {
-        if pos == bytes.len() {
-            break;
+    while let Some((index, kind, payload)) = frames.next() {
+        match decode(kind, payload) {
+            Ok(rec) => records.push((index, rec)),
+            Err(_) => frames.reject(),
         }
-        if pos + RECORD_HEADER_LEN > bytes.len() {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let kind = bytes[pos + 4];
-        let crc = u32::from_le_bytes(bytes[pos + 5..pos + 9].try_into().unwrap());
-        if len > MAX_RECORD {
-            torn = true;
-            break;
-        }
-        let Some(end) = (pos + RECORD_HEADER_LEN).checked_add(len as usize) else {
-            torn = true;
-            break;
-        };
-        if end > bytes.len() {
-            torn = true;
-            break;
-        }
-        let payload = &bytes[pos + RECORD_HEADER_LEN..end];
-        let mut crc_input = Vec::with_capacity(1 + payload.len());
-        crc_input.push(kind);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
-            torn = true;
-            break;
-        }
-        let Ok(rec) = Record::decode(kind, payload) else {
-            // CRC-valid but undecodable: a format mismatch, treated the
-            // same as corruption for recovery (prefix ends here).
-            torn = true;
-            break;
-        };
-        records.push((index, rec));
-        index += 1;
-        pos = end;
     }
     Ok(Some(SegmentScan {
-        base_index,
+        base_index: frames.base_index(),
         records,
-        valid_len: pos as u64,
-        torn,
+        valid_len: frames.valid_len() as u64,
+        torn: frames.torn(),
     }))
-}
-
-/// Fetches a sealed segment's statistics footer in O(1): two fixed-size
-/// reads (header, tail) instead of a full scan.
-///
-/// Returns `Ok(None)` — "no usable footer, fall back to scanning" — in
-/// every non-I/O failure mode: a footer-less legacy segment, a segment
-/// still being appended to (the footer is only the *last* frame of a
-/// sealed segment; anything appended after a stale footer displaces it
-/// from the tail), a torn tail, or a corrupt header. Only genuine I/O
-/// failures surface as errors.
-pub fn read_segment_footer(path: &Path) -> io::Result<Option<SegmentFooter>> {
-    let mut f = fs::File::open(path)?;
-    let file_len = f.metadata()?.len();
-    let tail_len = (RECORD_HEADER_LEN + FOOTER_PAYLOAD_LEN) as u64;
-    if file_len < SEGMENT_HEADER_LEN as u64 + tail_len {
-        return Ok(None);
-    }
-    let mut header = [0u8; SEGMENT_HEADER_LEN];
-    f.read_exact(&mut header)?;
-    if decode_segment_header(&header).is_none() {
-        return Ok(None);
-    }
-    f.seek(SeekFrom::End(-(tail_len as i64)))?;
-    let mut tail = [0u8; RECORD_HEADER_LEN + FOOTER_PAYLOAD_LEN];
-    f.read_exact(&mut tail)?;
-    let len = u32::from_le_bytes(tail[0..4].try_into().unwrap());
-    let kind = tail[4];
-    let crc = u32::from_le_bytes(tail[5..9].try_into().unwrap());
-    if len as usize != FOOTER_PAYLOAD_LEN || kind != RecordKind::Footer as u8 {
-        return Ok(None);
-    }
-    let payload = &tail[RECORD_HEADER_LEN..];
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
-        return Ok(None);
-    }
-    match Record::decode(kind, payload) {
-        Ok(Record::Footer(footer)) => Ok(Some(footer)),
-        _ => Ok(None),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::SegmentFooter;
     use std::io::Write;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -324,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn footer_tail_read_matches_scan() {
+    fn footer_is_an_ordinary_record_to_the_scanner() {
         let dir = tmp_dir("footer");
         let path = dir.join(segment_file_name(3));
         let mut recs = cursors(4);
@@ -334,53 +395,10 @@ mod tests {
         }
         recs.push(Record::Footer(footer));
         write_segment(&path, 3, &recs);
-        let got = read_segment_footer(&path).unwrap().expect("footer present");
-        assert_eq!(got, footer);
-        // The footer is an ordinary record to the scanner.
         let scan = scan_segment(&path).unwrap().unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.records.last().unwrap().1, Record::Footer(footer));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn footer_absent_cases_fall_back_to_scan() {
-        let dir = tmp_dir("nofooter");
-        // Legacy segment: no footer at all.
-        let legacy = dir.join(segment_file_name(0));
-        write_segment(&legacy, 0, &cursors(20));
-        assert_eq!(read_segment_footer(&legacy).unwrap(), None);
-        // Active segment: records appended after a stale footer displace
-        // it from the tail.
-        let active = dir.join(segment_file_name(1));
-        let mut recs = cursors(2);
-        recs.push(Record::Footer(SegmentFooter::empty()));
-        recs.push(Record::Cursor { acked_events: 99 });
-        write_segment(&active, 1, &recs);
-        assert_eq!(read_segment_footer(&active).unwrap(), None);
-        // Torn tail: last byte chopped breaks the footer CRC.
-        let torn = dir.join(segment_file_name(2));
-        let mut recs = cursors(1);
-        recs.push(Record::Footer(SegmentFooter::empty()));
-        write_segment(&torn, 2, &recs);
-        let full = fs::metadata(&torn).unwrap().len();
-        let f = fs::OpenOptions::new().write(true).open(&torn).unwrap();
-        f.set_len(full - 1).unwrap();
-        drop(f);
-        assert_eq!(read_segment_footer(&torn).unwrap(), None);
-        // Corrupt header: the file is not trusted at all.
-        let badhdr = dir.join(segment_file_name(4));
-        let mut recs = cursors(1);
-        recs.push(Record::Footer(SegmentFooter::empty()));
-        write_segment(&badhdr, 4, &recs);
-        let mut bytes = fs::read(&badhdr).unwrap();
-        bytes[13] ^= 0x01;
-        fs::write(&badhdr, &bytes).unwrap();
-        assert_eq!(read_segment_footer(&badhdr).unwrap(), None);
-        // Tiny file: shorter than header + footer frame.
-        let tiny = dir.join(segment_file_name(5));
-        fs::write(&tiny, b"short").unwrap();
-        assert_eq!(read_segment_footer(&tiny).unwrap(), None);
+        assert_eq!(scan.records.len(), 5);
+        assert_eq!(scan.records.last().unwrap(), &(7, Record::Footer(footer)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -397,6 +415,73 @@ mod tests {
         assert!(scan.torn);
         assert!(scan.records.is_empty());
         assert_eq!(scan.valid_len, SEGMENT_HEADER_LEN as u64);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn samples_frame_from_slice_matches_owned_record() {
+        for n in [0usize, 1, 7, 2500] {
+            let samples: Vec<f64> = (0..n).map(|i| i as f64 * -0.75).collect();
+            assert_eq!(
+                encode_samples_frame(9, &samples),
+                encode_record_frame(&Record::Samples { seq: 9, samples })
+            );
+        }
+    }
+
+    #[test]
+    fn frame_crc_covers_kind_and_payload() {
+        let frame = encode_record_frame(&Record::Cursor { acked_events: 3 });
+        let crc = u32::from_le_bytes(frame[5..9].try_into().unwrap());
+        let mut crc_input = vec![frame[4]];
+        crc_input.extend_from_slice(&frame[RECORD_HEADER_LEN..]);
+        assert_eq!(crc, crc32(&crc_input));
+    }
+
+    #[test]
+    fn rejected_frame_ends_the_walk_before_it() {
+        let mut bytes = encode_segment_header(10).to_vec();
+        for r in cursors(3) {
+            bytes.extend_from_slice(&encode_record_frame(&r));
+        }
+        let first_end = SEGMENT_HEADER_LEN + RECORD_HEADER_LEN + 8;
+        let mut frames = FrameWalker::new(&bytes).unwrap();
+        assert_eq!(frames.base_index(), 10);
+        assert_eq!(frames.next().map(|f| f.0), Some(10));
+        assert_eq!(frames.next().map(|f| f.0), Some(11));
+        frames.reject();
+        assert!(frames.torn());
+        assert_eq!(frames.valid_len(), first_end);
+        assert_eq!(frames.next(), None);
+        // Walked to the end, the same bytes are clean.
+        let mut frames = FrameWalker::new(&bytes).unwrap();
+        assert_eq!(frames.by_ref().count(), 3);
+        assert!(!frames.torn());
+        assert_eq!(frames.valid_len(), bytes.len());
+    }
+
+    #[test]
+    fn undecodable_payload_ends_the_scan() {
+        let dir = tmp_dir("undecodable");
+        let path = dir.join(segment_file_name(0));
+        write_segment(&path, 0, &cursors(1));
+        let good_len = fs::metadata(&path).unwrap().len();
+        // A CRC-valid SAMPLES frame whose count field promises one
+        // sample more than the payload holds, then a valid record.
+        let mut frame = encode_samples_frame(1, &[0.5, 1.5]);
+        let payload = RECORD_HEADER_LEN;
+        frame[payload + 8..payload + 12].copy_from_slice(&3u32.to_le_bytes());
+        let crc = frame_crc(frame[4], &frame[payload..]);
+        frame[5..9].copy_from_slice(&crc.to_le_bytes());
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&frame).unwrap();
+        f.write_all(&encode_record_frame(&Record::Cursor { acked_events: 2 }))
+            .unwrap();
+        drop(f);
+        let scan = scan_segment(&path).unwrap().unwrap();
+        assert!(scan.torn);
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.valid_len, good_len);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -174,9 +174,16 @@ impl SessionJournal {
         self.acked_events
     }
 
-    /// Rolls segments at the size target, re-writing the checkpoint at
-    /// the head of the new segment, then appends `rec`.
+    /// Appends `rec` after [`SessionJournal::roll_if_due`].
     fn append_checked(&mut self, rec: &Record) -> io::Result<()> {
+        self.roll_if_due()?;
+        self.journal.append(rec)?;
+        Ok(())
+    }
+
+    /// Rolls the journal when the active segment reached its size
+    /// target, re-writing the checkpoint at the head of the new one.
+    fn roll_if_due(&mut self) -> io::Result<()> {
         if self.journal.would_roll() {
             self.journal.roll()?;
             self.journal.append(&Record::Meta(self.meta.clone()))?;
@@ -187,7 +194,6 @@ impl SessionJournal {
                 self.journal.append(&fin)?;
             }
         }
-        self.journal.append(rec)?;
         Ok(())
     }
 
@@ -207,10 +213,9 @@ impl SessionJournal {
                 "samples batch exceeds one journal record",
             ));
         }
-        self.append_checked(&Record::Samples {
-            seq,
-            samples: samples.to_vec(),
-        })
+        self.roll_if_due()?;
+        self.journal.append_samples(seq, samples)?;
+        Ok(())
     }
 
     /// Journals freshly finalized events. Call *before* offering them
@@ -434,6 +439,96 @@ mod tests {
         assert!(SessionJournal::open(&dir, JournalConfig::default())
             .unwrap()
             .is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The on-disk format is pinned: a fixed journal — Meta, SAMPLES,
+    /// EVENTS, Cursor, rolls sealed by footers, Finished — must produce
+    /// these exact segment files. The Meta record embeds the detector
+    /// config, so a deliberate change to `EmprofConfig::for_rates`
+    /// defaults changes the digests too; anything else that does is a
+    /// format break.
+    #[test]
+    fn on_disk_format_is_pinned() {
+        let dir = tmp_dir("pinned");
+        let meta = SessionMeta {
+            session_id: 11,
+            resume_token: 0xABCD,
+            sample_rate_hz: 40e6,
+            clock_hz: 1.008e9,
+            config: EmprofConfig::for_rates(40e6, 1.008e9),
+            device: "olimex-fixed".into(),
+        };
+        let cfg = JournalConfig {
+            segment_bytes: 4096,
+            sync_on_append: false,
+            write_footers: true,
+        };
+        let mut sj = SessionJournal::create(&dir, meta, cfg).unwrap();
+        for seq in 1..=12u64 {
+            let samples: Vec<f64> = (0..100 + seq as usize * 7)
+                .map(|i| (i as f64 * 0.37 + seq as f64).sin())
+                .collect();
+            sj.append_samples(seq, &samples).unwrap();
+            let events: Vec<StallEvent> = (0..seq % 3)
+                .map(|k| StallEvent {
+                    start_sample: (seq * 1000 + k * 10) as usize,
+                    end_sample: (seq * 1000 + k * 10 + 5) as usize,
+                    duration_cycles: 120.0 + k as f64,
+                    kind: if k == 1 {
+                        StallKind::RefreshCollision
+                    } else {
+                        StallKind::Normal
+                    },
+                    confidence: if seq % 4 == 0 {
+                        Confidence::Degraded
+                    } else {
+                        Confidence::High
+                    },
+                })
+                .collect();
+            if !events.is_empty() {
+                sj.append_events(seq * 10, &events).unwrap();
+                if seq == 2 {
+                    sj.ack(1).unwrap();
+                }
+            }
+        }
+        sj.finish(1234, 5, 12).unwrap();
+        for seq in 13..=20u64 {
+            let late = StallEvent {
+                start_sample: 99,
+                end_sample: 120,
+                duration_cycles: 7.5,
+                kind: StallKind::Normal,
+                confidence: Confidence::High,
+            };
+            sj.append_events(seq * 10, &[late]).unwrap();
+        }
+        sj.sync().unwrap();
+        drop(sj);
+
+        let mut files: Vec<(String, u64, u32)> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let bytes = fs::read(e.path()).unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, bytes.len() as u64, crate::crc::crc32(&bytes))
+            })
+            .collect();
+        files.sort();
+        let want = [
+            ("seg-00000000000000000000.emj", 4283, 0x7c59_574b),
+            ("seg-00000000000000000009.emj", 5225, 0xdf05_7395),
+            ("seg-00000000000000000019.emj", 4582, 0xf2d0_4d59),
+            ("seg-00000000000000000027.emj", 2190, 0xae53_5672),
+        ];
+        let want: Vec<(String, u64, u32)> = want
+            .iter()
+            .map(|&(n, len, crc)| (n.to_string(), len, crc))
+            .collect();
+        assert_eq!(files, want);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

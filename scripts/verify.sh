@@ -68,6 +68,12 @@ cargo run -q --release -p emprof-bench --bin store_soak -- --smoke --seconds 8
 # compaction.
 cargo test -q --release --test prop_query
 
+# The same invariant over journals holding SAMPLES records, written the
+# way a journaled server writes them: truncation damage, or a SAMPLES
+# record that passes its CRC but cannot be decoded — the query, cold
+# and cached, stops at exactly the record recovery stops at.
+cargo test -q --release --test prop_query_samples
+
 # Query soak smoke: concurrent QUERY clients against a live journaled
 # server ingesting chaos-faulted sessions; fails if any query errors
 # under churn, any quiesced result diverges from local replay, or the
