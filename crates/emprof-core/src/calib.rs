@@ -20,23 +20,23 @@
 //! * the schedule is **causal and block-aligned**: parameters for block
 //!   `k` depend only on blocks `0..k`, and change only at fixed absolute
 //!   block boundaries. That is what keeps the batch, parallel, and
-//!   streaming adaptive paths bit-identical — all three compute the same
-//!   schedule and run the same fused range kernel per block, then share
-//!   the stitched merge/refine/filter back half.
+//!   streaming paths bit-identical — all three drive the one resumable
+//!   kernel under the same schedule (`crate::driver`), then share the
+//!   stitched merge/refine/filter back half.
 //!
-//! With [`CalibConfig::enabled`]` == false` (the default) none of this
-//! code runs and every detector path is bit-identical to the static
-//! detector.
+//! With [`CalibConfig::enabled`]` == false` (the default) the schedule is
+//! constant: one block spanning the whole signal, under the base
+//! parameters. The [`Calibrator`] then observes nothing, so static mode
+//! reads no extra samples and emits no `calib.*` telemetry.
 
 use std::collections::VecDeque;
 
 use emprof_obs as obs;
-use emprof_par::{pool, Parallelism};
-use emprof_signal::fused;
+use emprof_signal::fused::KernelParams;
 
 use crate::config::EmprofConfig;
-use crate::detect::{record_event_metrics, refine_from_runs, sanitize_magnitude};
-use crate::profile::{Confidence, Profile, StallEvent};
+use crate::detect::sanitize_magnitude;
+use crate::profile::{Confidence, StallEvent};
 use crate::Emprof;
 
 /// Converts the mean absolute successive difference of a block into a
@@ -60,7 +60,7 @@ pub struct CalibConfig {
     pub enabled: bool,
     /// Calibration block length in samples; parameters are constant
     /// within a block and may change only at block boundaries. `0` means
-    /// "use the normalization window".
+    /// "use the normalization window". Ignored when disabled.
     pub block_samples: usize,
     /// EWMA weight given to each new block's statistics, in `(0, 1]`.
     pub ewma_weight: f64,
@@ -114,9 +114,12 @@ impl CalibConfig {
         }
     }
 
-    /// The resolved block length for a given normalization window.
+    /// The resolved block length for a given normalization window;
+    /// `usize::MAX` when disabled (one block spans any signal).
     pub(crate) fn block(&self, norm_window: usize) -> usize {
-        if self.block_samples == 0 {
+        if !self.enabled {
+            usize::MAX
+        } else if self.block_samples == 0 {
             norm_window.max(1)
         } else {
             self.block_samples
@@ -194,13 +197,26 @@ pub struct BlockParams {
     pub degraded: bool,
 }
 
+impl BlockParams {
+    /// The fused-kernel parameters of this block.
+    pub(crate) fn kernel(&self) -> KernelParams {
+        KernelParams {
+            window: self.window,
+            threshold: self.threshold,
+            edge_level: self.edge_level,
+            min_range: self.min_range,
+        }
+    }
+}
+
 /// The online calibration loop: feed it completed blocks in order via
 /// [`observe_block`](Calibrator::observe_block), read the parameters for
 /// the *next* block via [`params`](Calibrator::params).
 ///
 /// Before the first observed block it returns the base (static)
 /// configuration, which makes the schedule causal: block `k`'s
-/// parameters depend only on blocks `0..k`.
+/// parameters depend only on blocks `0..k`. With calibration disabled it
+/// observes nothing and always returns the base configuration.
 #[derive(Debug, Clone)]
 pub struct Calibrator {
     cfg: CalibConfig,
@@ -304,7 +320,7 @@ impl Calibrator {
     /// and steps the confidence state machine. Blocks must be fed in
     /// order; all paths feed the identical block slices.
     pub fn observe_block(&mut self, block: &[f64]) {
-        if block.is_empty() {
+        if !self.cfg.enabled || block.is_empty() {
             return;
         }
         let mut hi = f64::NEG_INFINITY;
@@ -372,8 +388,9 @@ impl Calibrator {
 
 /// Computes the full causal parameter schedule for a (sanitized) signal:
 /// entry `k` governs samples `[k * block, (k + 1) * block)`. One cheap
-/// sequential pass; batch, parallel, and streaming all reproduce exactly
-/// this sequence.
+/// sequential pass (none in static mode, whose single entry reads no
+/// samples); batch, parallel, and streaming all reproduce exactly this
+/// sequence.
 pub(crate) fn compute_schedule(config: &EmprofConfig, signal: &[f64]) -> Vec<BlockParams> {
     let block = config.calib.block(config.norm_window_samples);
     let blocks = signal.len().div_ceil(block);
@@ -381,7 +398,7 @@ pub(crate) fn compute_schedule(config: &EmprofConfig, signal: &[f64]) -> Vec<Blo
     let mut out = Vec::with_capacity(blocks);
     for k in 0..blocks {
         out.push(cal.params());
-        let end = ((k + 1) * block).min(signal.len());
+        let end = (k + 1).saturating_mul(block).min(signal.len());
         cal.observe_block(&signal[k * block..end]);
     }
     out
@@ -415,95 +432,15 @@ pub(crate) fn mark_gap_degraded(events: &mut [StallEvent], gaps: &[usize]) -> us
 }
 
 impl Emprof {
-    /// The per-block parameter schedule the adaptive detector would use
-    /// on `magnitude` (non-finite samples dropped first) — entry `k`
+    /// The per-block parameter schedule the detector uses on
+    /// `magnitude` (non-finite samples dropped first) — entry `k`
     /// governs samples `[k * block, (k + 1) * block)` of the survivor
-    /// signal. Exposed for inspection and tests; detection itself goes
-    /// through [`Emprof::profile_magnitude`] with
-    /// [`CalibConfig::enabled`] set.
+    /// signal (in static mode, one entry governs them all). Exposed for
+    /// inspection and tests; detection itself goes through
+    /// [`Emprof::profile_magnitude`].
     pub fn calibration_schedule(&self, magnitude: &[f64]) -> Vec<BlockParams> {
         let (survivors, _, _) = sanitize_magnitude(magnitude);
         compute_schedule(&self.config(), &survivors)
-    }
-
-    /// The adaptive profiling path shared by the batch and parallel
-    /// entry points: compute the causal block schedule, run the gated
-    /// fused kernel per block (fanned out over `par`), stitch the runs
-    /// exactly like the parallel detector, then reuse the shared
-    /// refine/filter/classify back half. Sequential and parallel calls
-    /// produce bit-identical profiles because the schedule is computed
-    /// before any fan-out and blocks are stitched in order.
-    pub(crate) fn profile_adaptive(
-        &self,
-        magnitude: &[f64],
-        sample_rate_hz: f64,
-        clock_hz: f64,
-        par: Parallelism,
-    ) -> Profile {
-        let _span = obs::span!("detect.adaptive");
-        let cfg = self.config();
-        let (survivors, rejected, gaps) = sanitize_magnitude(magnitude);
-        if rejected > 0 {
-            obs::counter_add!("detect.samples_rejected", rejected as u64);
-        }
-        let signal = &survivors[..];
-        let n = signal.len();
-        let schedule = compute_schedule(&cfg, signal);
-        let block = cfg.calib.block(cfg.norm_window_samples);
-
-        let kernel = |k: usize| {
-            let p = &schedule[k];
-            fused::detect_runs_range_gated(
-                signal,
-                p.window,
-                p.threshold,
-                p.edge_level,
-                p.min_range,
-                k * block,
-                ((k + 1) * block).min(n),
-                None,
-            )
-            .expect("block passes run on the sanitized signal")
-        };
-        let indices: Vec<usize> = (0..schedule.len()).collect();
-        let parts = if par.is_sequential() || indices.len() <= 1 {
-            indices.iter().map(|&k| kernel(k)).collect::<Vec<_>>()
-        } else {
-            pool::parallel_map(par, &indices, |&k| kernel(k))
-        };
-
-        // Stitch exactly like the parallel detector: threshold runs via
-        // the batch gap-merge criterion (a gap-0 pair can only be a run
-        // split at a block boundary), below-edge runs via gap-0 rejoin.
-        let mut merged: Vec<(usize, usize)> = Vec::new();
-        let mut below_edge: Vec<(usize, usize)> = Vec::new();
-        for part in parts {
-            for run in part.below_threshold {
-                match merged.last_mut() {
-                    Some(last) if run.0 - last.1 <= cfg.merge_gap_samples => last.1 = run.1,
-                    _ => merged.push(run),
-                }
-            }
-            for run in part.below_edge {
-                match below_edge.last_mut() {
-                    Some(last) if last.1 == run.0 => last.1 = run.1,
-                    _ => below_edge.push(run),
-                }
-            }
-        }
-
-        let dips = refine_from_runs(merged, &below_edge, n);
-        let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
-        for e in &mut events {
-            let k = (e.end_sample.saturating_sub(1) / block).min(schedule.len().saturating_sub(1));
-            if schedule.get(k).is_some_and(|p| p.degraded) {
-                e.confidence = Confidence::Degraded;
-            }
-        }
-        mark_gap_degraded(&mut events, &gaps);
-        obs::counter_add!("detect.samples", n as u64);
-        record_event_metrics(&events);
-        Profile::new(events, n, sample_rate_hz, clock_hz)
     }
 }
 

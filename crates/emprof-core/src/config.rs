@@ -1,6 +1,7 @@
 //! Detector configuration.
 
 use crate::calib::CalibConfig;
+use crate::profile::{Confidence, StallEvent, StallKind};
 
 /// Tuning parameters of the EMPROF detector.
 ///
@@ -74,6 +75,29 @@ impl EmprofConfig {
             edge_level: 0.5,
             refresh_min_cycles: 1200.0,
             calib: CalibConfig::off(),
+        }
+    }
+
+    /// The duration filter floor, in samples, at `cps` core cycles per
+    /// sample.
+    pub(crate) fn min_event_samples(&self, cps: f64) -> f64 {
+        (self.min_duration_cycles / cps).max(self.min_duration_samples as f64)
+    }
+
+    /// The stall event over samples `[start, end)` at `cps` core cycles
+    /// per sample, classified by its duration, at high confidence.
+    pub(crate) fn stall_event(&self, start: usize, end: usize, cps: f64) -> StallEvent {
+        let duration_cycles = (end - start) as f64 * cps;
+        StallEvent {
+            start_sample: start,
+            end_sample: end,
+            duration_cycles,
+            kind: if duration_cycles >= self.refresh_min_cycles {
+                StallKind::RefreshCollision
+            } else {
+                StallKind::Normal
+            },
+            confidence: Confidence::High,
         }
     }
 

@@ -3,11 +3,12 @@
 use std::borrow::Cow;
 
 use emprof_obs as obs;
-use emprof_signal::fused::{self, LevelRuns};
+use emprof_par::Parallelism;
 use emprof_sim::PowerTrace;
 
-use crate::calib::mark_gap_degraded;
+use crate::calib::{compute_schedule, mark_gap_degraded, BlockParams};
 use crate::config::EmprofConfig;
+use crate::driver::{BlockDriver, StitchedRuns};
 use crate::profile::{Confidence, Profile, StallEvent, StallKind};
 
 /// The EMPROF profiler (Section IV of the paper).
@@ -59,84 +60,106 @@ impl Emprof {
         sample_rate_hz: f64,
         clock_hz: f64,
     ) -> Profile {
-        if self.config.calib.enabled {
-            return self.profile_adaptive(
-                magnitude,
-                sample_rate_hz,
-                clock_hz,
-                emprof_par::Parallelism::sequential(),
-            );
-        }
         let _profile_span = obs::span!("detect.profile");
-        // The fused kernel reads the signal exactly once: both moving
-        // wedges advance together, normalization happens inline, the
-        // below-threshold/below-edge runs come out directly, and the
-        // finite-sample admission check rides along — no separate
-        // pre-scan, no intermediate signal-sized vector.
-        let fused = {
-            let _s = obs::span!("detect.fused");
-            fused::detect_runs(
-                magnitude,
-                self.config.norm_window_samples,
-                self.config.threshold,
-                self.config.edge_level,
-            )
-        };
-        match fused {
-            Ok(runs) => {
-                self.profile_from_runs(runs, magnitude.len(), sample_rate_hz, clock_hz, &[])
-            }
-            Err(_first_bad) => {
-                // Rare path: the signal carries NaN/±inf. Drop them (a
-                // single NaN would otherwise poison every window that
-                // sees it) and rerun the fused pass on the survivors —
-                // identical to running on the pre-filtered signal, which
-                // is the same policy the streaming detector applies. The
-                // collapsed gap positions degrade the confidence of any
-                // event that touches them.
-                let (kept, rejected, gaps) = sanitize_magnitude(magnitude);
-                obs::counter_add!("detect.samples_rejected", rejected as u64);
-                let runs = {
-                    let _s = obs::span!("detect.fused");
-                    fused::detect_runs(
-                        &kept,
-                        self.config.norm_window_samples,
-                        self.config.threshold,
-                        self.config.edge_level,
-                    )
-                    .expect("survivors are finite by construction")
-                };
-                self.profile_from_runs(runs, kept.len(), sample_rate_hz, clock_hz, &gaps)
-            }
-        }
+        self.profile(
+            magnitude,
+            sample_rate_hz,
+            clock_hz,
+            Parallelism::sequential(),
+        )
     }
 
-    /// The shared back half of batch detection: merge the raw
-    /// below-threshold runs, refine edges from the below-edge run list,
-    /// filter and classify. Used by both the clean fused path and the
-    /// sanitize-and-retry fallback; `total` is the accepted-sample count
-    /// the profile reports.
-    fn profile_from_runs(
+    /// The one profiling path behind the batch and parallel entry
+    /// points: schedule, drive the kernel (stitching its runs), refine,
+    /// filter and classify, then mark degraded confidence.
+    ///
+    /// The static schedule reads no samples, so the kernel's inline
+    /// finite check decides whether the signal is clean: the common case
+    /// reads it exactly once, and a signal carrying NaN/±inf is dropped
+    /// to its survivors and rerun — the same policy the streaming
+    /// detector applies. The adaptive schedule reads every block before
+    /// the kernel does, so adaptive mode takes the survivors first. The
+    /// collapsed gap positions degrade the confidence of any event that
+    /// touches them.
+    pub(crate) fn profile(
         &self,
-        runs: LevelRuns,
-        total: usize,
+        magnitude: &[f64],
         sample_rate_hz: f64,
         clock_hz: f64,
-        gaps: &[usize],
+        par: Parallelism,
     ) -> Profile {
-        let merged = {
-            let _s = obs::span!("detect.merge");
-            self.merge_runs(runs.below_threshold)
+        let survivors = |m| {
+            let (kept, rejected, gaps) = sanitize_magnitude(m);
+            if rejected > 0 {
+                obs::counter_add!("detect.samples_rejected", rejected as u64);
+            }
+            (kept, gaps)
         };
+        let (mut signal, mut gaps) = if self.config.calib.enabled {
+            survivors(magnitude)
+        } else {
+            (Cow::Borrowed(magnitude), Vec::new())
+        };
+        let (mut runs, schedule) = match self.detect(&signal, par) {
+            Ok(found) => found,
+            Err(_first_bad) => {
+                (signal, gaps) = survivors(magnitude);
+                self.detect(&signal, par)
+                    .expect("survivors are finite by construction")
+            }
+        };
+        let n = signal.len();
         let dips = {
             let _s = obs::span!("detect.refine");
-            refine_from_runs(merged, &runs.below_edge, total)
+            refine_from_runs(
+                runs.below_threshold.make_contiguous(),
+                runs.below_edge.make_contiguous(),
+                n,
+            )
         };
         let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
-        mark_gap_degraded(&mut events, gaps);
-        obs::counter_add!("detect.samples", total as u64);
+        let block = self.config.calib.block(self.config.norm_window_samples);
+        for e in &mut events {
+            if schedule[(e.end_sample - 1) / block].degraded {
+                e.confidence = Confidence::Degraded;
+            }
+        }
+        mark_gap_degraded(&mut events, &gaps);
+        obs::counter_add!("detect.samples", n as u64);
         record_event_metrics(&events);
-        Profile::new(events, total, sample_rate_hz, clock_hz)
+        Profile::new(events, n, sample_rate_hz, clock_hz)
+    }
+
+    /// Computes the schedule for `signal` and drives the kernel over it
+    /// under that schedule: one [`BlockDriver`] when sequential, one per
+    /// chunk otherwise.
+    fn detect(
+        &self,
+        signal: &[f64],
+        par: Parallelism,
+    ) -> Result<(StitchedRuns, Vec<BlockParams>), usize> {
+        let schedule = {
+            let _s = self
+                .config
+                .calib
+                .enabled
+                .then(|| obs::span!("detect.adaptive"));
+            compute_schedule(&self.config, signal)
+        };
+        if !par.is_sequential() {
+            let runs = self.detect_chunked(signal, &schedule, par)?;
+            return Ok((runs, schedule));
+        }
+        let mut driver = BlockDriver::new(&self.config, 0);
+        {
+            let _s = obs::span!("detect.fused");
+            driver.advance(signal, 0, signal.len(), |k| schedule[k])?;
+        }
+        {
+            let _s = obs::span!("detect.merge");
+            driver.stitch();
+        }
+        Ok((driver.runs, schedule))
     }
 
     /// Profiles a captured EM signal (the physical-device path).
@@ -176,31 +199,17 @@ impl Emprof {
     }
 
     /// Turns refined dips into duration-filtered, classified stall
-    /// events — the last detection stage, shared verbatim by the batch
-    /// and parallel paths so their event streams cannot diverge.
+    /// events — the last detection stage of the batch and parallel
+    /// paths.
     pub(crate) fn events_from_dips(
         &self,
         dips: Vec<(usize, usize)>,
         cps: f64,
     ) -> Vec<StallEvent> {
-        let min_samples =
-            (self.config.min_duration_cycles / cps).max(self.config.min_duration_samples as f64);
+        let min_samples = self.config.min_event_samples(cps);
         dips.into_iter()
             .filter(|&(s, e)| (e - s) as f64 >= min_samples)
-            .map(|(s, e)| {
-                let duration_cycles = (e - s) as f64 * cps;
-                StallEvent {
-                    start_sample: s,
-                    end_sample: e,
-                    duration_cycles,
-                    kind: if duration_cycles >= self.config.refresh_min_cycles {
-                        StallKind::RefreshCollision
-                    } else {
-                        StallKind::Normal
-                    },
-                    confidence: Confidence::High,
-                }
-            })
+            .map(|(s, e)| self.config.stall_event(s, e, cps))
             .collect()
     }
 
@@ -226,7 +235,9 @@ impl Emprof {
         raw
     }
 
-    /// Merges runs separated by at most `merge_gap_samples`.
+    /// Merges runs separated by at most `merge_gap_samples`. Reference
+    /// implementation; production merges in the stitcher.
+    #[cfg(test)]
     fn merge_runs(&self, raw: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
         let mut merged: Vec<(usize, usize)> = Vec::with_capacity(raw.len());
         for run in raw {
@@ -290,7 +301,7 @@ impl Emprof {
 /// consulted by the reference, so they cannot matter here either. The
 /// final abut-merge is the reference's, verbatim.
 pub(crate) fn refine_from_runs(
-    merged: Vec<(usize, usize)>,
+    merged: &[(usize, usize)],
     below_edge: &[(usize, usize)],
     total: usize,
 ) -> Vec<(usize, usize)> {
@@ -327,10 +338,9 @@ pub(crate) fn refine_from_runs(
 
 /// Drops non-finite samples ahead of detection, borrowing when the
 /// signal is already clean (the overwhelmingly common case — the scan
-/// is a single cheap pass). Used by the parallel entry point, which must
-/// know the survivor signal before it can chunk it; the batch path folds
-/// the same check into the fused kernel instead and only filters on the
-/// rare dirty signal. Returns the surviving
+/// is a single cheap pass). Used up front by adaptive detection, whose
+/// schedule reads the samples before the kernel does, and as the static
+/// path's retry once the kernel met a non-finite sample. Returns the surviving
 /// samples and how many were rejected, plus the survivor positions where
 /// runs of rejected samples collapsed out (one point per contiguous gap,
 /// the `emprof_fault::survivor_dropout_points` convention) — events
@@ -665,7 +675,7 @@ mod tests {
                 };
                 let merged = e.merge_runs(e.threshold_runs(&norm));
                 let reference = e.refine_edges(&norm, merged.clone());
-                let fast = refine_from_runs(merged, &below_edge, norm.len());
+                let fast = refine_from_runs(&merged, &below_edge, norm.len());
                 assert_eq!(fast, reference, "threshold {threshold} edge {edge} seed {seed}");
             }
         }

@@ -47,6 +47,7 @@ pub mod accuracy;
 mod calib;
 mod config;
 mod detect;
+mod driver;
 mod fusion;
 mod histogram;
 mod parallel;

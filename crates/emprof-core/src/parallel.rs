@@ -1,30 +1,25 @@
 //! Multi-core dip detection with overlap-merge equivalence.
 //!
 //! [`Emprof::profile_magnitude_par`] splits the capture into per-worker
-//! chunks, runs the fused normalize-and-detect kernel per chunk on a
-//! scoped worker pool, and stitches the per-chunk results back into
-//! exactly the event stream the batch detector produces. The equivalence
-//! argument (DESIGN.md §8) has three legs:
+//! chunks, advances one [`BlockDriver`] per chunk on a scoped worker
+//! pool, and stitches the per-chunk results back into exactly the event
+//! stream the batch detector produces. The equivalence argument
+//! (DESIGN.md §8) has three legs:
 //!
-//! 1. **Normalization** — each chunk runs
-//!    [`fused::detect_runs_range`], whose moving wedges read
-//!    moving-extreme context from the full signal. Every chunk sample is
-//!    therefore normalized to the bit-identical value the batch kernel
-//!    produces; the overlap margin (`norm_window / 2` on each side) is
-//!    implicit in the shared full-signal slice. The normalized values
-//!    themselves are never materialized — only their below-level runs
-//!    leave the kernel.
+//! 1. **Normalization** — each chunk's resumable fused kernel reads
+//!    moving-extreme context from the full signal, so every chunk sample
+//!    is normalized to the bit-identical value the batch pass produces;
+//!    the overlap margin (`norm_window / 2` on each side) is implicit in
+//!    the shared full-signal slice. In adaptive mode every chunk runs
+//!    under the one schedule computed before the fan-out, split at the
+//!    same block boundaries. The normalized values themselves are never
+//!    materialized — only their below-level runs leave the kernel.
 //! 2. **Below-level runs** — runs found per chunk over disjoint core
 //!    ranges concatenate to the batch run lists, except that a run
-//!    straddling a seam arrives split into abutting pieces. For
-//!    below-threshold runs the batch gap-merge criterion
-//!    (`gap <= merge_gap_samples`) always rejoins a gap-0 split, and
-//!    left-to-right greedy merging is invariant under splitting of
-//!    abutting runs, so the merged run list is identical; each seam
-//!    rejoin is counted in the `par.merge_fixups` gauge. Below-edge runs
-//!    within a chunk can never abut (a run only ends on an above-edge
-//!    sample or the chunk boundary), so gap-0 stitching rejoins exactly
-//!    the seam-split runs and reconstructs the batch below-edge list.
+//!    straddling a seam arrives split into abutting pieces. The shared
+//!    stitcher ([`StitchedRuns::stitch`]) rejoins them exactly as it
+//!    rejoins a stream's frame and block seams; each chunk-seam rejoin is
+//!    counted in the `par.merge_fixups` gauge.
 //! 3. **Edge refinement and classification** — both run on the stitched
 //!    run lists through literally the same code as the batch path
 //!    ([`crate::detect::refine_from_runs`]).
@@ -36,9 +31,10 @@
 use emprof_obs as obs;
 use emprof_par::chunk::ChunkPlan;
 use emprof_par::{pool, Parallelism};
-use emprof_signal::fused::{self, LevelRuns};
 
-use crate::detect::{record_event_metrics, refine_from_runs, sanitize_magnitude, Emprof};
+use crate::calib::BlockParams;
+use crate::detect::Emprof;
+use crate::driver::{BlockDriver, StitchedRuns};
 use crate::profile::Profile;
 
 impl Emprof {
@@ -62,94 +58,45 @@ impl Emprof {
         clock_hz: f64,
         par: Parallelism,
     ) -> Profile {
-        if self.config().calib.enabled {
-            // Adaptive detection runs its own block-parallel fan-out and
-            // is schedule-identical across all entry points.
-            return self.profile_adaptive(magnitude, sample_rate_hz, clock_hz, par);
-        }
         if par.is_sequential() {
-            // The batch path folds the finite check into the fused kernel;
-            // handing off before sanitizing keeps the clean-path sequential
-            // case at exactly one read of the signal.
-            return self.profile_magnitude(magnitude, sample_rate_hz, clock_hz);
-        }
-        // Same non-finite rejection as the batch path, applied before
-        // chunking so every worker sees the identical survivor signal.
-        let (magnitude, rejected, gaps) = sanitize_magnitude(magnitude);
-        if rejected > 0 {
-            obs::counter_add!("detect.samples_rejected", rejected as u64);
-        }
-        let magnitude = &magnitude[..];
-        let n = magnitude.len();
-        if n < 2 {
-            // Already sanitized, so the batch fused pass cannot fail.
             return self.profile_magnitude(magnitude, sample_rate_hz, clock_hz);
         }
         let _span = obs::span!("par.profile");
+        self.profile(magnitude, sample_rate_hz, clock_hz, par)
+    }
+
+    /// One [`BlockDriver`] per chunk of `signal`, each under `schedule`,
+    /// stitched in chunk order.
+    ///
+    /// # Errors
+    ///
+    /// `Err(i)` when some chunk read a non-finite sample `i`.
+    pub(crate) fn detect_chunked(
+        &self,
+        signal: &[f64],
+        schedule: &[BlockParams],
+        par: Parallelism,
+    ) -> Result<StitchedRuns, usize> {
         let cfg = self.config();
-        let margin = cfg.norm_window_samples / 2;
-        let plan = ChunkPlan::new(n, par.get(), margin);
+        let plan = ChunkPlan::new(signal.len(), par.get(), cfg.norm_window_samples / 2);
         obs::gauge_set!("par.chunks", plan.count() as f64);
         obs::gauge_set!("par.threads", par.get().min(plan.count()) as f64);
-
-        // Per chunk: one fused pass over the core range against
-        // full-signal context, emitting below-threshold and below-edge
-        // runs directly in global coordinates. The signal is sanitized,
-        // so the pass cannot hit a non-finite sample.
-        let parts: Vec<LevelRuns> = pool::parallel_map(par, plan.chunks(), |c| {
-            fused::detect_runs_range(
-                magnitude,
-                cfg.norm_window_samples,
-                cfg.threshold,
-                cfg.edge_level,
-                c.start,
-                c.end,
-                None,
-            )
-            .expect("chunk passes run on the sanitized signal")
+        let parts = pool::parallel_map(par, plan.chunks(), |c| {
+            let mut driver = BlockDriver::new(&cfg, c.start);
+            driver.advance(signal, 0, c.end, |k| schedule[k]).map(|()| {
+                driver.stitch();
+                driver.runs
+            })
         });
-
         let _stitch = obs::span!("par.stitch");
-        let mut raw: Vec<(usize, usize)> = Vec::new();
-        let mut below_edge: Vec<(usize, usize)> = Vec::new();
-        for part in parts {
-            raw.extend(part.below_threshold);
-            // Below-edge runs split at a seam abut with gap 0; runs from
-            // the same chunk never abut, so this rejoins exactly the
-            // seam splits and reconstructs the batch below-edge list.
-            for run in part.below_edge {
-                match below_edge.last_mut() {
-                    Some(last) if last.1 == run.0 => last.1 = run.1,
-                    _ => below_edge.push(run),
-                }
-            }
-        }
-
-        // The batch merge criterion, with seam-rejoin accounting. Within a
-        // chunk, threshold runs are never abutting (a run only ends on an
-        // above-threshold sample), so a gap of exactly 0 can only be a run
-        // split at a chunk seam.
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(raw.len());
+        let mut runs = StitchedRuns::default();
         let mut fixups = 0u64;
-        for run in raw {
-            match merged.last_mut() {
-                Some(last) if run.0 - last.1 <= cfg.merge_gap_samples => {
-                    if run.0 == last.1 {
-                        fixups += 1;
-                    }
-                    last.1 = run.1;
-                }
-                _ => merged.push(run),
-            }
+        for part in parts {
+            let part = part?;
+            fixups += runs.stitch(part.below_threshold, part.below_edge, cfg.merge_gap_samples);
         }
         obs::gauge_set!("par.merge_fixups", fixups as f64);
-
-        let dips = refine_from_runs(merged, &below_edge, n);
-        let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
-        crate::calib::mark_gap_degraded(&mut events, &gaps);
-        obs::counter_add!("detect.samples", n as u64);
-        record_event_metrics(&events);
-        Profile::new(events, n, sample_rate_hz, clock_hz)
+        Ok(runs)
     }
 }
 

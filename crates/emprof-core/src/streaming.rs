@@ -8,28 +8,35 @@
 //! as soon as they can no longer change, and memory use is bounded by the
 //! normalization window — independent of capture length.
 //!
-//! The streaming detector is *exactly equivalent* to the batch detector
-//! on the interior of a capture: it computes the same centered moving
-//! min/max, the same thresholding, merging, and edge refinement. (At the
-//! very edges of a finite capture the batch detector sees truncated
-//! windows; feed the same finite signal through [`StreamingEmprof`] and
-//! the results match the batch profile event for event — see the
-//! equivalence tests.)
+//! The streaming detector is a thin driver over the same core as the
+//! batch detector (`crate::driver`): each batch of samples is appended to
+//! a buffer and the resumable fused kernel is advanced once, to the last
+//! position whose centered window is complete, under the same
+//! calibration schedule (static mode: the constant one). Its runs are
+//! stitched by the same stitcher, and refinement, merging and the
+//! duration filter follow batch rules on those run lists. So a finite
+//! signal fed through [`StreamingEmprof`], in any chunking, yields the
+//! batch profile event for event — see the equivalence tests.
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
 use emprof_obs as obs;
-use emprof_signal::fused;
 
 use crate::calib::{BlockParams, Calibrator};
 use crate::config::EmprofConfig;
+use crate::driver::BlockDriver;
 use crate::profile::{Confidence, Profile, StallEvent, StallKind};
 
 /// How many pushed samples accumulate between telemetry flushes. Pushing
 /// is the hot path, so the `detect.samples` counter and the streaming
 /// gauges are updated in batches rather than per sample.
 const OBS_FLUSH_INTERVAL: usize = 65_536;
+
+/// The most samples one kernel advance takes in: a longer batch is fed
+/// in pieces of this size, so the buffer stays bounded by the window
+/// plus one piece, however much a caller hands over at once.
+const MAX_PIECE: usize = 65_536;
 
 /// A point-in-time view of a [`StreamingEmprof`]'s progress, from
 /// [`StreamingEmprof::stats`].
@@ -70,32 +77,25 @@ pub struct StreamingEmprof {
     config: EmprofConfig,
     sample_rate_hz: f64,
     clock_hz: f64,
-    /// Raw samples still needed: the normalization window must be able to
-    /// look `half` samples ahead of the sample being normalized, and edge
-    /// refinement needs the normalized values themselves, so we buffer
-    /// `window` raw samples.
-    raw: VecDeque<f64>,
-    /// Index of the first sample in `raw`.
-    raw_base: usize,
-    /// Monotonic deques of (index, value) for windowed min and max.
-    min_wedge: VecDeque<(usize, f64)>,
-    max_wedge: VecDeque<(usize, f64)>,
-    /// Total samples pushed.
+    /// Accepted samples from `buf_base` on: the windows of positions
+    /// the kernel has not reached, and the calibration block in
+    /// progress.
+    buf: Vec<f64>,
+    /// Index of the first sample in `buf`.
+    buf_base: usize,
+    /// Total samples accepted.
     pushed: usize,
-    /// Next sample index to normalize (trails `pushed` by `half`).
-    normalized: usize,
-    /// Recent normalized samples (for edge refinement), indexed from
-    /// `norm_base`.
-    norm: VecDeque<f64>,
-    norm_base: usize,
-    /// Current below-threshold run start, if inside a dip.
-    open_dip: Option<usize>,
-    /// Completed raw dips awaiting merge/refine/flush, as (start, end).
-    pending: VecDeque<(usize, usize)>,
-    /// Most recent normalized index at or above `edge_level` — the left
-    /// boundary any future edge refinement could reach, hence the trim
-    /// point for normalized history while no dip is in flight.
-    last_high: usize,
+    /// The detector core. Its position trails `pushed` by half the base
+    /// window; its stitched below-threshold runs are the dips awaiting
+    /// refinement, its below-edge runs the context refinement reads.
+    driver: BlockDriver,
+    /// The calibration loop (inert in static mode).
+    cal: Calibrator,
+    /// Blocks the calibrator has observed.
+    observed: usize,
+    /// Parameters of blocks `schedule_base..=observed`.
+    schedule: VecDeque<BlockParams>,
+    schedule_base: usize,
     /// Finished events ready for the caller.
     events: Vec<StallEvent>,
     /// The most recent refined run as `(start, end, represented)`,
@@ -124,53 +124,11 @@ pub struct StreamingEmprof {
     /// touching one carry [`Confidence::Degraded`]; trimmed once no
     /// future or still-mutable event can reach back to them.
     gaps: VecDeque<usize>,
-    /// Calibration block length (meaningful in adaptive mode).
-    calib_block: usize,
-    /// Per processed calibration block: was the confidence state machine
-    /// degraded? Indexed by block; an event is degraded by the block its
-    /// *end* falls in, so in-place merges recompute consistently with
-    /// the batch final-extent computation. One bool per ~window samples.
+    /// Per calibration block: was the confidence state machine degraded?
+    /// An event is degraded by the block its *end* falls in, so in-place
+    /// merges recompute consistently with the batch final-extent
+    /// computation. One bool per block.
     block_degraded: Vec<bool>,
-    /// Online-calibration state; `Some` iff `config.calib.enabled`. When
-    /// set, the wedge/normalize machinery above is bypassed entirely and
-    /// detection runs block-by-block through the same gated fused kernel
-    /// and parameter schedule as the batch adaptive path.
-    adaptive: Option<AdaptiveState>,
-}
-
-/// Streaming state of the adaptive (calibrated) detector. The stream is
-/// cut into the same absolute calibration blocks as the batch schedule;
-/// each block, once its right normalization context is buffered, runs
-/// through `fused::detect_runs_range_gated` with the causally-computed
-/// [`BlockParams`], and the resulting runs are stitched exactly like the
-/// parallel detector's seams. Everything downstream (refinement,
-/// merge/duration/classify, drain sealing) reuses the static streaming
-/// machinery.
-#[derive(Debug, Clone)]
-struct AdaptiveState {
-    /// Calibration block length in samples.
-    block: usize,
-    /// Half the *base* normalization window — the uniform lookahead.
-    /// Adaptation only ever shrinks the window, so buffering `half`
-    /// samples past a block suffices for any adapted window.
-    half: usize,
-    /// Buffered survivor samples from `buf_base` onward.
-    buf: Vec<f64>,
-    buf_base: usize,
-    cal: Calibrator,
-    /// Parameters for block `next_block` (causal: computed from the
-    /// blocks before it).
-    cur: BlockParams,
-    next_block: usize,
-    /// Detection frontier: samples in `[0, position)` have been through
-    /// the kernel.
-    position: usize,
-    /// Stitched below-threshold runs (batch merge criterion applied)
-    /// awaiting finality.
-    pending: VecDeque<(usize, usize)>,
-    /// Stitched below-edge runs (gap-0 rejoin across block seams); the
-    /// last run is always retained — it may still be growing.
-    edge_runs: VecDeque<(usize, usize)>,
 }
 
 impl StreamingEmprof {
@@ -188,38 +146,20 @@ impl StreamingEmprof {
             sample_rate_hz > 0.0 && clock_hz > 0.0,
             "rates must be positive"
         );
-        let calib_block = config.calib.block(config.norm_window_samples).max(1);
-        let adaptive = config.calib.enabled.then(|| {
-            let cal = Calibrator::new(&config);
-            let cur = cal.params();
-            AdaptiveState {
-                block: calib_block,
-                half: config.norm_window_samples / 2,
-                buf: Vec::new(),
-                buf_base: 0,
-                cal,
-                cur,
-                next_block: 0,
-                position: 0,
-                pending: VecDeque::new(),
-                edge_runs: VecDeque::new(),
-            }
-        });
+        let cal = Calibrator::new(&config);
+        let first = cal.params();
         StreamingEmprof {
             config,
             sample_rate_hz,
             clock_hz,
-            raw: VecDeque::new(),
-            raw_base: 0,
-            min_wedge: VecDeque::new(),
-            max_wedge: VecDeque::new(),
+            buf: Vec::new(),
+            buf_base: 0,
             pushed: 0,
-            normalized: 0,
-            norm: VecDeque::new(),
-            norm_base: 0,
-            open_dip: None,
-            pending: VecDeque::new(),
-            last_high: 0,
+            driver: BlockDriver::new(&config, 0),
+            cal,
+            observed: 0,
+            schedule: VecDeque::from([first]),
+            schedule_base: 0,
             events: Vec::new(),
             last_run: None,
             drained: 0,
@@ -228,9 +168,7 @@ impl StreamingEmprof {
             started_at: None,
             unflushed: 0,
             gaps: VecDeque::new(),
-            calib_block,
-            block_degraded: Vec::new(),
-            adaptive,
+            block_degraded: vec![first.degraded],
         }
     }
 
@@ -265,361 +203,205 @@ impl StreamingEmprof {
     /// indices are positions within the *accepted* samples, identical
     /// to running the batch detector on the pre-filtered signal.
     pub fn push(&mut self, value: f64) {
-        if !value.is_finite() {
-            self.rejected += 1;
-            // Record where the gap collapsed to in survivor coordinates
-            // (one point per contiguous run of rejections): events
-            // touching it are demoted to degraded confidence.
-            if self.gaps.back() != Some(&self.pushed) {
-                self.gaps.push_back(self.pushed);
+        self.extend_from_slice(&[value]);
+    }
+
+    /// Pushes a batch of samples, gathered into slices of 4096 for
+    /// [`extend_from_slice`](StreamingEmprof::extend_from_slice).
+    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, samples: I) {
+        let mut batch = [0.0; 4096];
+        let mut len = 0;
+        for s in samples {
+            batch[len] = s;
+            len += 1;
+            if len == batch.len() {
+                self.extend_from_slice(&batch);
+                len = 0;
             }
-            obs::counter_add!("detect.samples_rejected", 1);
+        }
+        self.extend_from_slice(&batch[..len]);
+    }
+
+    /// Pushes a batch of samples from a slice — the server ingest
+    /// hot-path entry point, taking the borrowed batch directly. The
+    /// accepted samples are appended in bulk and the kernel advances
+    /// once, to the last position whose window they complete (a batch
+    /// longer than 64 Ki samples is taken in pieces of that size).
+    /// Rejection works as in [`push`](StreamingEmprof::push).
+    pub fn extend_from_slice(&mut self, samples: &[f64]) {
+        for mut piece in samples.chunks(MAX_PIECE) {
+            while let Some(bad) = piece.iter().position(|v| !v.is_finite()) {
+                self.accept(&piece[..bad]);
+                self.rejected += 1;
+                // Record where the gap collapsed to in survivor
+                // coordinates (one point per contiguous run of
+                // rejections): events touching it are demoted to
+                // degraded confidence.
+                if self.gaps.back() != Some(&self.pushed) {
+                    self.gaps.push_back(self.pushed);
+                }
+                obs::counter_add!("detect.samples_rejected", 1);
+                piece = &piece[bad + 1..];
+            }
+            self.accept(piece);
+            self.advance(false);
+        }
+    }
+
+    /// Appends finite samples to the buffer.
+    fn accept(&mut self, samples: &[f64]) {
+        if samples.is_empty() {
             return;
         }
-        if self.started_at.is_none() {
-            self.started_at = Some(Instant::now());
-        }
-        self.unflushed += 1;
+        self.started_at.get_or_insert_with(Instant::now);
+        self.buf.extend_from_slice(samples);
+        self.pushed += samples.len();
+        self.unflushed += samples.len();
         if self.unflushed >= OBS_FLUSH_INTERVAL {
             self.flush_obs();
         }
-        if self.adaptive.is_some() {
-            self.push_adaptive(value);
+    }
+
+    /// Feeds the calibrator the blocks now complete, advances the kernel
+    /// as far as the buffer allows, stitches its runs and emits the dips
+    /// that can no longer change. At the end of the stream (`finish`),
+    /// the partial last block is observed too (as batch calibration
+    /// does), the tail is normalized against windows clipped at the last
+    /// sample, and every pending dip is flushed.
+    fn advance(&mut self, finish: bool) {
+        let block = self.driver.block();
+        if self.config.calib.enabled {
+            loop {
+                let start = self.observed * block;
+                let end = (start + block).min(self.pushed);
+                if end <= start || (end < start + block && !finish) {
+                    break;
+                }
+                self.cal
+                    .observe_block(&self.buf[start - self.buf_base..end - self.buf_base]);
+                self.observed += 1;
+                let next = self.cal.params();
+                self.schedule.push_back(next);
+                self.block_degraded.push(next.degraded);
+            }
+        }
+        let half = self.config.norm_window_samples / 2;
+        let target = if finish {
+            self.pushed
+        } else {
+            self.pushed.saturating_sub(half)
+        };
+        let (schedule, first) = (&self.schedule, self.schedule_base);
+        self.driver
+            .advance(&self.buf, self.buf_base, target, |k| schedule[k - first])
+            .expect("rejection happens at ingest; the buffer is finite");
+        self.driver.stitch();
+        self.process_pending(finish);
+        if finish {
             return;
         }
-        let idx = self.pushed;
-        self.pushed += 1;
-        self.raw.push_back(value);
-        // Admit into the monotonic wedges.
-        while let Some(&(_, v)) = self.min_wedge.back() {
-            if value <= v {
-                self.min_wedge.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.min_wedge.push_back((idx, value));
-        while let Some(&(_, v)) = self.max_wedge.back() {
-            if value >= v {
-                self.max_wedge.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.max_wedge.push_back((idx, value));
 
-        // Normalize every sample whose centered window is now complete:
-        // sample i needs samples up to i + half.
-        let half = self.config.norm_window_samples / 2;
-        while self.normalized + half < self.pushed {
-            self.normalize_one();
+        let position = self.driver.position();
+        // Below-edge runs only matter to refinement of dips still
+        // pending — always keeping the last run, which may still be
+        // growing across the frontier.
+        let bound = self
+            .driver
+            .runs
+            .below_threshold
+            .front()
+            .map_or(position, |r| r.0);
+        let edges = &mut self.driver.runs.below_edge;
+        while edges.len() > 1 && edges.front().is_some_and(|r| r.1 <= bound) {
+            edges.pop_front();
         }
-        self.process_pending(false);
-    }
-
-    /// Pushes a batch of samples.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, samples: I) {
-        for s in samples {
-            self.push(s);
+        while self.schedule_base < position / block {
+            self.schedule.pop_front();
+            self.schedule_base += 1;
+        }
+        // The next advance reads from `position - half` at the earliest
+        // (a changed window re-primes there, and adaptation only shrinks
+        // the window); the calibrator still has to read the block in
+        // progress. The released prefix is compacted away once it is half
+        // a window long, so one-sample pushes cost amortized O(1).
+        let mut keep_from = position.saturating_sub(half);
+        if self.config.calib.enabled {
+            keep_from = keep_from.min(self.observed * block);
+        }
+        if keep_from - self.buf_base > half {
+            self.buf.drain(..keep_from - self.buf_base);
+            self.buf_base = keep_from;
         }
     }
 
-    /// Pushes a batch of samples from a slice. Equivalent to
-    /// [`extend`](StreamingEmprof::extend); this is the server ingest
-    /// hot-path entry point, taking the borrowed batch directly.
-    pub fn extend_from_slice(&mut self, samples: &[f64]) {
-        for &s in samples {
-            self.push(s);
-        }
-    }
-
-    /// Normalizes sample `self.normalized` using the exact centered
-    /// window the batch detector uses, then advances the detector state.
-    fn normalize_one(&mut self) {
-        let i = self.normalized;
-        let half = self.config.norm_window_samples / 2;
-        let win_start = i.saturating_sub(half);
-        // Evict wedge entries that fell out of the window.
-        while self.min_wedge.front().is_some_and(|&(j, _)| j < win_start) {
-            self.min_wedge.pop_front();
-        }
-        while self.max_wedge.front().is_some_and(|&(j, _)| j < win_start) {
-            self.max_wedge.pop_front();
-        }
-        let lo = self.min_wedge.front().expect("window non-empty").1;
-        let hi = self.max_wedge.front().expect("window non-empty").1;
-        let value = self.raw[i - self.raw_base];
-        // Flat windows (hi == lo) carry no dip information and read as
-        // fully busy — mirroring `stats::normalize_moving_minmax`.
-        let normalized = if hi > lo {
-            ((value - lo) / (hi - lo)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        self.norm.push_back(normalized);
-        self.normalized += 1;
-
-        // Threshold crossing bookkeeping.
-        if normalized < self.config.threshold {
-            if self.open_dip.is_none() {
-                self.open_dip = Some(i);
-            }
-        } else if let Some(start) = self.open_dip.take() {
-            self.push_raw_dip(start, i);
-        }
-        if normalized >= self.config.edge_level {
-            self.last_high = i;
-        }
-        // With nothing in flight, normalized history older than the last
-        // above-edge sample can never be consulted again.
-        if self.pending.is_empty() && self.open_dip.is_none() {
-            while self.norm_base < self.last_high {
-                self.norm.pop_front();
-                self.norm_base += 1;
-            }
-        }
-
-        // Trim raw samples no longer needed by any future window. Sample j
-        // is needed while some i with |i - j| <= half is un-normalized;
-        // the oldest such j is normalized - half.
-        let keep_from = self.normalized.saturating_sub(half + 1);
-        while self.raw_base < keep_from {
-            self.raw.pop_front();
-            self.raw_base += 1;
-        }
-    }
-
-    fn push_raw_dip(&mut self, start: usize, end: usize) {
-        // Merge with the previous pending dip when close enough.
-        if let Some(last) = self.pending.back_mut() {
-            if start - last.1 <= self.config.merge_gap_samples {
-                last.1 = end;
-                return;
-            }
-        }
-        self.pending.push_back((start, end));
-    }
-
-    /// Refines and emits pending dips that can no longer change. A dip is
-    /// final once normalization has advanced `merge_gap + 1` samples past
-    /// its end (no future dip can merge into it) and its right edge has
-    /// been refined to a sample at or above `edge_level`.
+    /// Refines and emits the pending dips that can no longer change,
+    /// exactly as batch refinement does from the run lists: a dip's edges
+    /// widen to its containing below-edge runs, clipped by the previous
+    /// refined run and the next dip. A dip is final once the kernel is
+    /// `merge_gap + 1` samples past its end (no later dip can merge into
+    /// it) and its right edge is settled; `flush` emits everything.
     fn process_pending(&mut self, flush: bool) {
         let gap = self.config.merge_gap_samples;
-        let edge = self.config.edge_level;
-        while let Some(&(start, end)) = self.pending.front() {
-            if !flush {
-                // It may still merge with an ongoing or future dip.
-                if self.open_dip.is_some() {
-                    break;
-                }
-                if self.normalized < end + gap + 2 {
-                    break;
-                }
-            }
-            // Edge refinement within the retained normalized history. The
-            // left bound is the previous *refined run* (not the previous
-            // emitted event — a run can fail the duration filter and
-            // still bound refinement, exactly as in the batch detector).
-            let mut s = start;
-            let left_bound = self
-                .last_run
-                .map(|(_, end, _)| end)
-                .unwrap_or(0)
-                .max(self.norm_base);
-            while s > left_bound && self.norm_at(s - 1).is_some_and(|v| v < edge) {
-                s -= 1;
-            }
-            let right_bound = self
-                .pending
-                .get(1)
-                .map(|n| n.0)
-                .unwrap_or(self.normalized);
-            let mut e = end;
-            while e < right_bound && self.norm_at(e).is_some_and(|v| v < edge) {
-                e += 1;
-            }
-            if !flush && e == right_bound && self.pending.len() < 2 && e == self.normalized {
-                // The right edge is still growing; wait for more samples.
-                break;
-            }
-            self.pending.pop_front();
-            self.tail_sealed = self.norm_at(e).is_some_and(|v| v >= edge);
-            self.emit(s, e);
-            // Trim normalized history: keep what edge refinement of the
-            // next dip might need (back to this event's end).
-            let keep_from = e.min(self.normalized.saturating_sub(1));
-            while self.norm_base < keep_from {
-                self.norm.pop_front();
-                self.norm_base += 1;
-            }
-        }
-    }
-
-    /// Adaptive-mode ingest: buffer the survivor sample, run the gated
-    /// kernel over every calibration block whose right normalization
-    /// context is now complete, and flush finalized dips.
-    fn push_adaptive(&mut self, value: f64) {
-        let mut ad = self.adaptive.take().expect("adaptive mode");
-        self.pushed += 1;
-        ad.buf.push(value);
-        while (ad.next_block + 1) * ad.block + ad.half <= self.pushed {
-            self.process_block(&mut ad);
-        }
-        self.adaptive_process_pending(&mut ad, false);
-        self.adaptive = Some(ad);
-    }
-
-    /// Runs block `ad.next_block` through the gated fused kernel with
-    /// its causal [`BlockParams`], stitches the resulting runs (the
-    /// parallel detector's seam rules), observes the block for the
-    /// calibrator, and advances the frontier. Identical inputs to the
-    /// batch adaptive path's per-block kernel call, by construction.
-    fn process_block(&mut self, ad: &mut AdaptiveState) {
-        let k = ad.next_block;
-        let start = k * ad.block;
-        // Truncated only at the true end of the capture (finish), which
-        // is exactly when the batch kernel's window clips there too.
-        let end = ((k + 1) * ad.block).min(self.pushed);
-        let p = ad.cur;
-        let runs = fused::detect_runs_range_gated(
-            &ad.buf,
-            p.window,
-            p.threshold,
-            p.edge_level,
-            p.min_range,
-            start - ad.buf_base,
-            end - ad.buf_base,
-            None,
-        )
-        .expect("rejection happens at ingest; the buffer is finite");
-        let gap = self.config.merge_gap_samples;
-        for (s, e) in runs.below_threshold {
-            let (s, e) = (s + ad.buf_base, e + ad.buf_base);
-            match ad.pending.back_mut() {
-                Some(last) if s - last.1 <= gap => last.1 = e,
-                _ => ad.pending.push_back((s, e)),
-            }
-        }
-        for (s, e) in runs.below_edge {
-            let (s, e) = (s + ad.buf_base, e + ad.buf_base);
-            match ad.edge_runs.back_mut() {
-                Some(last) if last.1 == s => last.1 = e,
-                _ => ad.edge_runs.push_back((s, e)),
-            }
-        }
-        ad.cal
-            .observe_block(&ad.buf[start - ad.buf_base..end - ad.buf_base]);
-        self.block_degraded.push(p.degraded);
-        ad.next_block += 1;
-        ad.position = end;
-        ad.cur = ad.cal.params();
-        // Trim the sample buffer to what the next block's (base) window
-        // can still reach, and below-edge runs to what refinement of the
-        // still-pending dips can still consult — always keeping the last
-        // run, which may still be growing across the frontier. During
-        // `finish` the final right-truncated block can place the nominal
-        // trim point past the capture end, so clamp to what was pushed.
-        let keep_from = (ad.next_block * ad.block)
-            .saturating_sub(ad.half)
-            .min(self.pushed)
-            .max(ad.buf_base);
-        ad.buf.drain(..keep_from - ad.buf_base);
-        ad.buf_base = keep_from;
-        let bound = ad.pending.front().map_or(ad.position, |r| r.0);
-        while ad.edge_runs.len() > 1 && ad.edge_runs.front().is_some_and(|r| r.1 <= bound) {
-            ad.edge_runs.pop_front();
-        }
-    }
-
-    /// Adaptive-mode counterpart of [`process_pending`]: same finality
-    /// and emission rules, but edge refinement consults the stitched
-    /// below-edge *run list* (as the batch adaptive path does via
-    /// `refine_from_runs`) instead of a normalized-sample history.
-    ///
-    /// [`process_pending`]: StreamingEmprof::process_pending
-    fn adaptive_process_pending(&mut self, ad: &mut AdaptiveState, flush: bool) {
-        let gap = self.config.merge_gap_samples;
-        while let Some(&(start, end)) = ad.pending.front() {
+        let position = self.driver.position();
+        while let Some(&(start, end)) = self.driver.runs.below_threshold.front() {
             // Final once the frontier is far enough past the run's end
             // that no future run can merge into it (a run ending exactly
-            // at the frontier may still grow into the next block).
-            if !flush && ad.position < end + gap + 1 {
+            // at the frontier may still grow).
+            if !flush && position < end + gap + 1 {
                 break;
             }
+            let runs = &self.driver.runs;
             let left_bound = self.last_run.map(|(_, e, _)| e).unwrap_or(0);
-            let cs = *ad
-                .edge_runs
+            let cs = *runs
+                .below_edge
                 .iter()
                 .find(|r| r.1 > start)
                 .expect("run start lies in a below-edge run");
             debug_assert!(cs.0 <= start, "run start not below edge");
             let refined_s = cs.0.max(left_bound);
-            let right_bound = ad.pending.get(1).map(|n| n.0).unwrap_or(ad.position);
-            let ce = *ad
-                .edge_runs
+            let right_bound = runs.below_threshold.get(1).map_or(position, |n| n.0);
+            let ce = *runs
+                .below_edge
                 .iter()
                 .find(|r| r.1 > end - 1)
                 .expect("run end lies in a below-edge run");
             debug_assert!(ce.0 < end, "run end not below edge");
             let refined_e = ce.1.min(right_bound);
-            if !flush && refined_e == ad.position && ad.pending.len() < 2 {
-                // The right edge is still growing; wait for more blocks.
+            if !flush && refined_e == position && runs.below_threshold.len() < 2 {
+                // The right edge is still growing; wait for more samples.
                 break;
             }
-            ad.pending.pop_front();
+            self.driver.runs.below_threshold.pop_front();
             // Sealed iff the run ended on an at-or-above-edge sample —
             // i.e. at its container's settled end, not clipped by a
             // neighbour or the frontier.
-            self.tail_sealed = refined_e == ce.1 && ce.1 < ad.position;
+            self.tail_sealed = refined_e == ce.1 && ce.1 < position;
             self.emit(refined_s, refined_e);
         }
     }
 
-    fn norm_at(&self, idx: usize) -> Option<f64> {
-        idx.checked_sub(self.norm_base)
-            .and_then(|o| self.norm.get(o))
-            .copied()
-    }
-
-    /// The duration filter floor, in samples.
-    fn min_samples(&self) -> f64 {
-        (self.config.min_duration_cycles / self.cycles_per_sample())
-            .max(self.config.min_duration_samples as f64)
-    }
-
     /// Confidence of an event spanning `[start, end)`: degraded when it
     /// touches a collapsed dropout gap (`start <= p <= end + 1`, the
-    /// `emprof_fault::flag_degraded` criterion) or, in adaptive mode,
-    /// when the calibration state machine was degraded in the block the
-    /// event *ends* in — the same final-extent rule the batch paths
-    /// apply, so in-place merges can recompute it consistently.
+    /// `emprof_fault::flag_degraded` criterion) or when the calibration
+    /// state machine was degraded in the block the event *ends* in — the
+    /// same final-extent rule the batch paths apply, so in-place merges
+    /// can recompute it consistently.
     fn event_confidence(&self, start: usize, end: usize) -> Confidence {
-        if self.gaps.iter().any(|&p| start <= p && p <= end + 1) {
-            return Confidence::Degraded;
+        if self.gaps.iter().any(|&p| start <= p && p <= end + 1)
+            || self.block_degraded[(end - 1) / self.driver.block()]
+        {
+            Confidence::Degraded
+        } else {
+            Confidence::High
         }
-        if !self.block_degraded.is_empty() {
-            let k = ((end.saturating_sub(1)) / self.calib_block)
-                .min(self.block_degraded.len() - 1);
-            if self.block_degraded[k] {
-                return Confidence::Degraded;
-            }
-        }
-        Confidence::High
     }
 
     fn make_event(&self, start: usize, end: usize) -> StallEvent {
-        let duration_cycles = (end - start) as f64 * self.cycles_per_sample();
         StallEvent {
-            start_sample: start,
-            end_sample: end,
-            duration_cycles,
-            kind: if duration_cycles >= self.config.refresh_min_cycles {
-                StallKind::RefreshCollision
-            } else {
-                StallKind::Normal
-            },
             confidence: self.event_confidence(start, end),
+            ..self
+                .config
+                .stall_event(start, end, self.cycles_per_sample())
         }
     }
 
@@ -628,7 +410,7 @@ impl StreamingEmprof {
     /// to the *merged* run — so a sub-threshold run can still grow into
     /// (or extend) an event when a neighbour touches it.
     fn emit(&mut self, start: usize, end: usize) {
-        let min_samples = self.min_samples();
+        let min_samples = self.config.min_event_samples(self.cycles_per_sample());
         if let Some((run_start, run_end, represented)) = self.last_run {
             if start <= run_end {
                 let new_end = run_end.max(end);
@@ -728,12 +510,11 @@ impl StreamingEmprof {
         self.rejected
     }
 
-    /// Current buffered-memory footprint in samples (bounded by the
-    /// normalization window plus any unfinished dip).
+    /// Current buffered-memory footprint in samples (bounded by one and
+    /// a half normalization windows, or the calibration block in
+    /// progress, plus the last batch pushed).
     pub fn buffered_samples(&self) -> usize {
-        self.raw.len()
-            + self.norm.len()
-            + self.adaptive.as_ref().map_or(0, |a| a.buf.len())
+        self.buf.len()
     }
 
     /// Progress counters for live monitoring: samples seen, events
@@ -766,29 +547,11 @@ impl StreamingEmprof {
     }
 
     /// Finalizes the capture: normalizes the tail (whose windows are
-    /// truncated, exactly as in the batch detector), closes any open dip,
-    /// flushes pending events, and returns the complete [`Profile`].
+    /// truncated, exactly as in the batch detector), flushes pending
+    /// events, and returns the complete [`Profile`].
     pub fn finish(mut self) -> Profile {
         let _s = obs::span!("stream.finish");
-        if let Some(mut ad) = self.adaptive.take() {
-            // Remaining (right-truncated) blocks: the kernel's windows
-            // clip at the true capture end, exactly as in batch.
-            while ad.position < self.pushed {
-                self.process_block(&mut ad);
-            }
-            self.adaptive_process_pending(&mut ad, true);
-        } else {
-            // The tail samples have truncated (right-clipped) windows;
-            // the wedges already contain exactly the in-window
-            // candidates.
-            while self.normalized < self.pushed {
-                self.normalize_one();
-            }
-            if let Some(start) = self.open_dip.take() {
-                self.push_raw_dip(start, self.pushed);
-            }
-            self.process_pending(true);
-        }
+        self.advance(true);
         self.flush_obs();
         if obs::is_enabled() {
             // Widths are only final now (merges may have grown events), so
@@ -937,21 +700,24 @@ mod tests {
     fn drain_delivers_events_incrementally() {
         let mut s = StreamingEmprof::new(config(), FS, CLK);
         let signal = dipped_signal(&[(5_000, 12), (40_000, 12)], 60_000);
-        let mut seen = 0;
+        let mut drained = Vec::new();
         let mut first_seen_at = None;
         for (i, &v) in signal.iter().enumerate() {
             s.push(v);
-            let drained = s.drain_events();
+            s.drain_events_into(&mut drained);
             if !drained.is_empty() && first_seen_at.is_none() {
                 first_seen_at = Some(i);
             }
-            seen += drained.len();
         }
         // The first dip must be delivered long before the capture ends.
         let at = first_seen_at.expect("an event was streamed");
         assert!(at < 20_000, "first event only delivered at sample {at}");
+        // What was drained is final: a prefix of the finished profile,
+        // which holds both dips (drained or delivered at finish).
         let profile = s.finish();
-        assert_eq!(seen + profile.events().len() - seen, 2);
+        assert_eq!(drained[..], profile.events()[..drained.len()]);
+        assert_eq!(profile.events().len(), 2);
+        assert_eq!(profile.events(), batch(&signal).events());
     }
 
     #[test]

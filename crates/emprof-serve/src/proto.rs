@@ -918,10 +918,20 @@ fn samples_view(payload: &[u8]) -> Result<SamplesView<'_>, ProtoError> {
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_STRING);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+    let s = utf8_prefix(s, MAX_STRING);
+    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The longest prefix of `s` that fits in `max` bytes without cutting a
+/// character: a long string is sent truncated, never as invalid UTF-8
+/// the decoder would reject.
+fn utf8_prefix(s: &str, max: usize) -> &str {
+    let mut end = s.len().min(max);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 /// Event kind byte: bit 0 is the refresh classification, bit 1 the
@@ -989,10 +999,9 @@ fn decode_event_count(c: &mut Cursor<'_>) -> Result<u32, ProtoError> {
 /// Writes a string with a u32 length prefix (flight dumps exceed the
 /// 256-byte [`MAX_STRING`] bound of ordinary protocol strings).
 fn put_long_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_FLIGHT_JSON);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+    let s = utf8_prefix(s, MAX_FLIGHT_JSON);
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn take_long_string(c: &mut Cursor<'_>) -> Result<String, ProtoError> {
@@ -1820,6 +1829,26 @@ mod tests {
         // And through the Read path too.
         let mut r = &bytes[..];
         assert_eq!(read_frame(&mut r).expect("reads"), frame);
+    }
+
+    #[test]
+    fn long_multibyte_device_is_cut_at_a_char_boundary() {
+        // 100 three-byte chars: 300 bytes, and byte 256 falls inside the
+        // 86th char, so a byte cut would send invalid UTF-8.
+        let hello = |device: String| Hello {
+            sample_rate_hz: 40e6,
+            clock_hz: 1.008e9,
+            config: sample_config(),
+            device,
+            watch: false,
+            proxied: false,
+            resume_session_id: 0,
+            resume_token: 0,
+        };
+        let bytes = encode_frame(&Frame::Hello(hello("\u{20AC}".repeat(100))));
+        let (decoded, consumed) = decode_frame(&bytes).expect("decodes");
+        assert_eq!(consumed, bytes.len());
+        assert_eq!(decoded, Frame::Hello(hello("\u{20AC}".repeat(85))));
     }
 
     #[test]

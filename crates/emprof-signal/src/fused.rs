@@ -25,6 +25,12 @@
 //! overwhelmingly common case costs zero extra reads, and a dirty signal
 //! is reported via `Err` with the offending index so the caller can fall
 //! back to its sanitize-and-retry path.
+//!
+//! The pass is resumable: a [`FusedState`] carries the wedges from one
+//! call to the next, so a detector can feed it a whole signal at once,
+//! one chunk per worker, one calibration block at a time or one network
+//! frame at a time, and [`detect_runs_range_gated`] is simply a fresh
+//! state advanced once.
 
 use std::collections::VecDeque;
 
@@ -127,6 +133,8 @@ pub fn detect_runs_range(
 /// windows while leaving true dip windows (whose range carries the dip
 /// contrast) untouched.
 ///
+/// This is a fresh [`FusedState`] advanced once over the range.
+///
 /// # Errors / Panics
 ///
 /// Identical to [`detect_runs_range`].
@@ -139,128 +147,251 @@ pub fn detect_runs_range_gated(
     min_range: f64,
     start: usize,
     end: usize,
-    mut norm_out: Option<&mut Vec<f64>>,
+    norm_out: Option<&mut Vec<f64>>,
 ) -> Result<LevelRuns, usize> {
-    assert!(window > 0, "window must be nonzero");
-    let n = signal.len();
-    assert!(
-        start <= end && end <= n,
-        "range {start}..{end} out of bounds for length {n}"
-    );
+    let params = KernelParams {
+        window,
+        threshold,
+        edge_level,
+        min_range,
+    };
     let mut runs = LevelRuns::default();
-    if start == end {
-        return Ok(runs);
-    }
-    let half = window / 2;
-    let last = n - 1;
-    // Monotonic wedges over (index, value): values are stored alongside
-    // indices so wedge maintenance never re-reads the signal. Bounded by
-    // the window length, so the pass allocates O(window), not O(n).
-    let mut min_wedge: VecDeque<(usize, f64)> = VecDeque::with_capacity(window.min(n) + 1);
-    let mut max_wedge: VecDeque<(usize, f64)> = VecDeque::with_capacity(window.min(n) + 1);
-    let mut right = start.saturating_sub(half); // next index to admit
-    // Prime both wedges with the first admitted sample so the hot loop
-    // can keep each wedge's front entry cached in locals (`min_front`,
-    // `max_front`) instead of going through the ring buffer every
-    // iteration; the wedges are non-empty from here on (eviction only
-    // removes samples that left the window, and the window always holds
-    // at least the output sample itself).
-    let v0 = signal[right];
-    if !v0.is_finite() {
-        return Err(right);
-    }
-    min_wedge.push_back((right, v0));
-    max_wedge.push_back((right, v0));
-    let mut min_front = (right, v0);
-    let mut max_front = (right, v0);
-    right += 1;
-    let mut th_start: Option<usize> = None;
-    let mut ed_start: Option<usize> = None;
-    for (off, &v_i) in signal[start..end].iter().enumerate() {
-        let i = start + off;
-        // Admit every sample the window centered on `i` can see. Each
-        // sample is admitted exactly once — this is where it is read,
-        // and where it is checked finite.
-        let win_end = (i + half).min(last);
-        while right <= win_end {
-            let v = signal[right];
-            if !v.is_finite() {
-                return Err(right);
-            }
-            if v <= min_front.1 {
-                // New window minimum: the pop loop below would drain the
-                // whole wedge (every stored value is >= the front's), so
-                // collapse it in one step and refresh the cached front.
-                min_wedge.clear();
-                min_wedge.push_back((right, v));
-                min_front = (right, v);
-            } else {
-                while min_wedge.back().is_some_and(|&(_, b)| v <= b) {
-                    min_wedge.pop_back();
-                }
-                min_wedge.push_back((right, v));
-            }
-            if v >= max_front.1 {
-                max_wedge.clear();
-                max_wedge.push_back((right, v));
-                max_front = (right, v);
-            } else {
-                while max_wedge.back().is_some_and(|&(_, b)| v >= b) {
-                    max_wedge.pop_back();
-                }
-                max_wedge.push_back((right, v));
-            }
-            right += 1;
-        }
-        // Evict entries that fell out of the window, then normalize
-        // inline — the same expression as `normalize_moving_minmax`.
-        // Only the cached fronts are consulted on the no-eviction path.
-        let win_start = i.saturating_sub(half);
-        while min_front.0 < win_start {
-            min_wedge.pop_front();
-            min_front = *min_wedge.front().expect("window always non-empty");
-        }
-        while max_front.0 < win_start {
-            max_wedge.pop_front();
-            max_front = *max_wedge.front().expect("window always non-empty");
-        }
-        let lo = min_front.1;
-        let hi = max_front.1;
-        let v = v_i;
-        // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so the
-        // ungated (`min_range == 0.0`) pass matches `normalize_moving_minmax`
-        // bit for bit.
-        let normalized = if hi - lo > min_range {
-            ((v - lo) / (hi - lo)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        if let Some(out) = norm_out.as_deref_mut() {
-            out.push(normalized);
-        }
-        // Run bookkeeping for both levels.
-        if normalized < threshold {
-            if th_start.is_none() {
-                th_start = Some(i);
-            }
-        } else if let Some(s) = th_start.take() {
-            runs.below_threshold.push((s, i));
-        }
-        if normalized < edge_level {
-            if ed_start.is_none() {
-                ed_start = Some(i);
-            }
-        } else if let Some(s) = ed_start.take() {
-            runs.below_edge.push((s, i));
-        }
-    }
-    if let Some(s) = th_start {
-        runs.below_threshold.push((s, end));
-    }
-    if let Some(s) = ed_start {
-        runs.below_edge.push((s, end));
-    }
+    FusedState::new(start).advance(signal, 0, end, &params, &mut runs, norm_out)?;
     Ok(runs)
+}
+
+/// The parameters one [`FusedState::advance`] call runs under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelParams {
+    /// Centered normalization window, in samples (nonzero).
+    pub window: usize,
+    /// Level below which a normalized sample is a dip candidate.
+    pub threshold: f64,
+    /// Level below which a normalized sample is edge-refinement context.
+    pub edge_level: f64,
+    /// Contrast gate: windows with `max - min <= min_range` normalize
+    /// flat (`0.0` disables it; see [`detect_runs_range_gated`]).
+    pub min_range: f64,
+}
+
+/// The fused kernel as a resumable pass: both monotonic wedges with
+/// their cached fronts, the admit frontier, and the window they were
+/// primed for, carried from one [`advance`](FusedState::advance) call to
+/// the next.
+///
+/// Advancing one state over consecutive ranges `[p0, p1)`, `[p1, p2)`, …
+/// yields, call for call, exactly what fresh [`detect_runs_range_gated`]
+/// calls over those ranges yield: each position is normalized against
+/// its full centered window, and each call's runs are clipped at the
+/// call's end (a run crossing a call boundary arrives as abutting
+/// pieces, which callers stitch the way the parallel detector stitches
+/// chunk seams). What resuming saves is the re-priming: a fresh call
+/// admits `window / 2` samples of left context before its first output,
+/// a resumed call admits only samples it has not seen. The wedges are
+/// rebuilt only when a call's window differs from the one they hold.
+#[derive(Debug, Clone)]
+pub struct FusedState {
+    /// Next output position.
+    position: usize,
+    /// Next sample index to admit into the wedges.
+    right: usize,
+    /// Window the wedges are primed for; `0` before the first call.
+    window: usize,
+    min_wedge: VecDeque<(usize, f64)>,
+    max_wedge: VecDeque<(usize, f64)>,
+    /// Cached wedge fronts (valid while `window != 0`).
+    min_front: (usize, f64),
+    max_front: (usize, f64),
+}
+
+impl FusedState {
+    /// A state whose first output position is `start`.
+    pub fn new(start: usize) -> Self {
+        FusedState {
+            position: start,
+            right: start,
+            window: 0,
+            min_wedge: VecDeque::new(),
+            max_wedge: VecDeque::new(),
+            min_front: (0, 0.0),
+            max_front: (0, 0.0),
+        }
+    }
+
+    /// The next output position: positions before it have been
+    /// normalized.
+    pub fn position(&self) -> usize {
+        self.position
+    }
+
+    /// Normalizes positions `[position, end)` under `params` and appends
+    /// their below-level runs (global coordinates, clipped at `end`) to
+    /// `runs`; with `norm_out`, also appends each normalized value.
+    ///
+    /// `signal` holds samples `[base, base + signal.len())` of the
+    /// stream, and its last sample is taken as the stream's last: windows
+    /// are clipped there, so a caller that may still receive samples
+    /// must keep `end + window / 2 <= base + signal.len()`. It must also
+    /// still hold every sample the call reads: from `position - window /
+    /// 2` when the window changed, otherwise from the admit frontier.
+    ///
+    /// # Errors
+    ///
+    /// `Err(i)` when sample `i` is the first non-finite sample read. The
+    /// state is then unusable; callers retrying on sanitized input start
+    /// a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.window == 0` or `[position, end)` does not lie
+    /// within the samples `signal` holds.
+    pub fn advance(
+        &mut self,
+        signal: &[f64],
+        base: usize,
+        end: usize,
+        params: &KernelParams,
+        runs: &mut LevelRuns,
+        mut norm_out: Option<&mut Vec<f64>>,
+    ) -> Result<(), usize> {
+        let KernelParams {
+            window,
+            threshold,
+            edge_level,
+            min_range,
+        } = *params;
+        assert!(window > 0, "window must be nonzero");
+        let start = self.position;
+        let len = base + signal.len();
+        assert!(
+            base <= start && start <= end && end <= len,
+            "range {start}..{end} out of bounds for samples {base}..{len}"
+        );
+        if start == end {
+            return Ok(());
+        }
+        let half = window / 2;
+        let last = len - 1;
+        if window != self.window {
+            // The wedges' contents depend on the window, so a new window
+            // starts over from its left edge. Prime both wedges with the
+            // first admitted sample so the hot loop can keep each front
+            // cached in locals; the wedges are non-empty from here on
+            // (eviction only removes samples that left the window, and
+            // the window always holds at least the output sample).
+            let first = start.saturating_sub(half);
+            assert!(first >= base, "sample {first} already released");
+            let v0 = signal[first - base];
+            if !v0.is_finite() {
+                return Err(first);
+            }
+            self.min_wedge.clear();
+            self.max_wedge.clear();
+            self.min_wedge.push_back((first, v0));
+            self.max_wedge.push_back((first, v0));
+            self.min_front = (first, v0);
+            self.max_front = (first, v0);
+            self.right = first + 1;
+            self.window = window;
+        }
+        let min_wedge = &mut self.min_wedge;
+        let max_wedge = &mut self.max_wedge;
+        let mut min_front = self.min_front;
+        let mut max_front = self.max_front;
+        let mut right = self.right;
+        let mut th_start: Option<usize> = None;
+        let mut ed_start: Option<usize> = None;
+        for (off, &v_i) in signal[start - base..end - base].iter().enumerate() {
+            let i = start + off;
+            // Admit every sample the window centered on `i` can see. Each
+            // sample is admitted exactly once — this is where it is read,
+            // and where it is checked finite.
+            let win_end = (i + half).min(last);
+            while right <= win_end {
+                let v = signal[right - base];
+                if !v.is_finite() {
+                    return Err(right);
+                }
+                if v <= min_front.1 {
+                    // New window minimum: the pop loop below would drain
+                    // the whole wedge (every stored value is >= the
+                    // front's), so collapse it in one step and refresh
+                    // the cached front.
+                    min_wedge.clear();
+                    min_wedge.push_back((right, v));
+                    min_front = (right, v);
+                } else {
+                    while min_wedge.back().is_some_and(|&(_, b)| v <= b) {
+                        min_wedge.pop_back();
+                    }
+                    min_wedge.push_back((right, v));
+                }
+                if v >= max_front.1 {
+                    max_wedge.clear();
+                    max_wedge.push_back((right, v));
+                    max_front = (right, v);
+                } else {
+                    while max_wedge.back().is_some_and(|&(_, b)| v >= b) {
+                        max_wedge.pop_back();
+                    }
+                    max_wedge.push_back((right, v));
+                }
+                right += 1;
+            }
+            // Evict entries that fell out of the window, then normalize
+            // inline — the same expression as `normalize_moving_minmax`.
+            // Only the cached fronts are consulted on the no-eviction path.
+            let win_start = i.saturating_sub(half);
+            while min_front.0 < win_start {
+                min_wedge.pop_front();
+                min_front = *min_wedge.front().expect("window always non-empty");
+            }
+            while max_front.0 < win_start {
+                max_wedge.pop_front();
+                max_front = *max_wedge.front().expect("window always non-empty");
+            }
+            let lo = min_front.1;
+            let hi = max_front.1;
+            let v = v_i;
+            // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so the
+            // ungated (`min_range == 0.0`) pass matches `normalize_moving_minmax`
+            // bit for bit.
+            let normalized = if hi - lo > min_range {
+                ((v - lo) / (hi - lo)).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+            if let Some(out) = norm_out.as_deref_mut() {
+                out.push(normalized);
+            }
+            // Run bookkeeping for both levels.
+            if normalized < threshold {
+                if th_start.is_none() {
+                    th_start = Some(i);
+                }
+            } else if let Some(s) = th_start.take() {
+                runs.below_threshold.push((s, i));
+            }
+            if normalized < edge_level {
+                if ed_start.is_none() {
+                    ed_start = Some(i);
+                }
+            } else if let Some(s) = ed_start.take() {
+                runs.below_edge.push((s, i));
+            }
+        }
+        if let Some(s) = th_start {
+            runs.below_threshold.push((s, end));
+        }
+        if let Some(s) = ed_start {
+            runs.below_edge.push((s, end));
+        }
+        self.min_front = min_front;
+        self.max_front = max_front;
+        self.right = right;
+        self.position = end;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +518,96 @@ mod tests {
             detect_runs_range(&signal, 8, 0.35, 0.5, 40, 40, None),
             Ok(LevelRuns::default())
         );
+    }
+
+    #[test]
+    fn resumed_state_equals_fresh_range_calls() {
+        // Split points (including empty calls) with each call's window and
+        // gate; the window changes mid-stream and changes back, forcing
+        // re-primes in both directions, and one range clips at the end.
+        let signal = test_signal(3_000);
+        let calls: [(usize, usize, f64); 9] = [
+            (0, 64, 0.0),
+            (1, 64, 0.0),
+            (700, 64, 0.0),
+            (700, 64, 0.0),
+            (1_234, 16, 0.0),
+            (1_900, 401, 0.5),
+            (2_001, 401, 0.5),
+            (2_600, 64, 0.0),
+            (3_000, 3, 0.0),
+        ];
+        let mut state = FusedState::new(0);
+        let mut from = 0;
+        for &(to, window, min_range) in &calls {
+            let params = KernelParams {
+                window,
+                threshold: 0.35,
+                edge_level: 0.5,
+                min_range,
+            };
+            let mut runs = LevelRuns::default();
+            let mut norm = Vec::new();
+            state
+                .advance(&signal, 0, to, &params, &mut runs, Some(&mut norm))
+                .expect("clean signal");
+            let mut fresh_norm = Vec::new();
+            let fresh = detect_runs_range_gated(
+                &signal,
+                window,
+                0.35,
+                0.5,
+                min_range,
+                from,
+                to,
+                Some(&mut fresh_norm),
+            )
+            .expect("clean signal");
+            assert_eq!(runs, fresh, "call {from}..{to} window {window}");
+            assert_eq!(norm, fresh_norm, "call {from}..{to} window {window}");
+            assert_eq!(state.position(), to);
+            from = to;
+        }
+    }
+
+    #[test]
+    fn resumed_state_reads_a_trimmed_buffer() {
+        // A stream that keeps only the samples the next call can read
+        // (from `position - window / 2`) gets the same runs as one pass.
+        let signal = test_signal(5_000);
+        let window = 200;
+        let params = KernelParams {
+            window,
+            threshold: 0.35,
+            edge_level: 0.5,
+            min_range: 0.0,
+        };
+        let mut state = FusedState::new(0);
+        let mut runs = LevelRuns::default();
+        let mut base = 0;
+        for end in [150, 151, 900, 2_345, 4_000, 4_899] {
+            state
+                .advance(&signal[base..], base, end, &params, &mut runs, None)
+                .expect("clean signal");
+            base = end - window / 2;
+        }
+        state
+            .advance(&signal[base..], base, 5_000, &params, &mut runs, None)
+            .expect("clean signal");
+        let whole = detect_runs(&signal, window, 0.35, 0.5).expect("clean signal");
+        // Runs split at call boundaries rejoin with gap 0.
+        let rejoin = |runs: &[(usize, usize)]| {
+            let mut out: Vec<(usize, usize)> = Vec::new();
+            for &(s, e) in runs {
+                match out.last_mut() {
+                    Some(last) if last.1 == s => last.1 = e,
+                    _ => out.push((s, e)),
+                }
+            }
+            out
+        };
+        assert_eq!(rejoin(&runs.below_threshold), whole.below_threshold);
+        assert_eq!(rejoin(&runs.below_edge), whole.below_edge);
     }
 
     #[test]

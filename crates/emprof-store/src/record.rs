@@ -304,10 +304,19 @@ impl<'a> Reader<'a> {
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_STRING);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
+    let s = utf8_prefix(s, MAX_STRING);
+    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The longest prefix of `s` that fits in `max` bytes without cutting a
+/// character, so a long name is stored truncated but still decodable.
+fn utf8_prefix(s: &str, max: usize) -> &str {
+    let mut end = s.len().min(max);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 /// Bytes ahead of the body of a SAMPLES or EVENTS payload: a sequence
@@ -433,7 +442,7 @@ impl Record {
     /// built in one allocation.
     pub(crate) fn encoded_len(&self) -> usize {
         match self {
-            Record::Meta(m) => META_FIXED_LEN + 2 + m.device.len().min(MAX_STRING),
+            Record::Meta(m) => META_FIXED_LEN + 2 + utf8_prefix(&m.device, MAX_STRING).len(),
             Record::Samples { samples, .. } => samples_payload_len(samples.len()),
             Record::Events { events, .. } => BATCH_HEADER_LEN + EVENT_LEN * events.len(),
             Record::Cursor { .. } => 8,
@@ -622,6 +631,23 @@ mod tests {
         let payload = rec.encode();
         let decoded = Record::decode(rec.kind() as u8, &payload).expect("decodes");
         assert_eq!(decoded, rec);
+    }
+
+    #[test]
+    fn long_multibyte_device_is_cut_at_a_char_boundary() {
+        // 100 three-byte chars: 300 bytes, and byte 256 falls inside the
+        // 86th char, so a byte cut would leave invalid UTF-8 behind.
+        let mut m = meta();
+        m.device = "\u{20AC}".repeat(100);
+        let rec = Record::Meta(m.clone());
+        let payload = rec.encode();
+        assert_eq!(payload.len(), rec.encoded_len());
+        let Record::Meta(back) = Record::decode(rec.kind() as u8, &payload).expect("decodes")
+        else {
+            panic!("not a Meta record");
+        };
+        assert_eq!(back.device, "\u{20AC}".repeat(85));
+        assert_eq!(back, SessionMeta { device: back.device.clone(), ..m });
     }
 
     #[test]

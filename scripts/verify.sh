@@ -38,6 +38,12 @@ cargo test -q --release --test prop_fault
 # attenuation ramp monotonically.
 cargo test -q --release --test adaptive_equivalence
 
+# Adaptive streaming fed arbitrary chunkings (1-5000 samples, drained
+# after each) of drifting, noisy signals with NaN/±inf injected equals
+# adaptive batch, degraded counts included, and every drained event is
+# final.
+cargo test -q --release --test prop_stream_adaptive
+
 # Transport resilience and exactly-once delivery: kill-and-resume at
 # arbitrary frame boundaries is invisible in the served events; replies
 # lost inside the §10 kill window (finalized and offered, never acked)
