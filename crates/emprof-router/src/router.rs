@@ -1,4 +1,4 @@
-//! The router front tier: terminates the v4 protocol toward clients,
+//! The router front tier: terminates the wire protocol toward clients,
 //! owns the session→backend mapping via the [`HashRing`], probes
 //! backend health, and migrates sessions off dead backends by
 //! replaying their `emprof-store` journals into the new owner.
@@ -198,8 +198,9 @@ struct RouterSession {
     last_offered_end_c: u64,
     /// Whether the final (FIN) stats were forwarded to the client.
     fin_reported: bool,
-    /// Replay buffer: client-space frames not yet backend-acked.
-    unacked: VecDeque<(u64, Vec<f64>)>,
+    /// Replay buffer: client-space SAMPLES frames not yet backend-acked,
+    /// as the bytes they arrived in.
+    unacked: VecDeque<(u64, Vec<u8>)>,
     /// Oldest frames were dropped from `unacked` (cap); a replay that
     /// needs them must fall back to a client-driven resume.
     unacked_torn: bool,
@@ -486,9 +487,29 @@ impl RouterShared {
 // Framed connections (same contract as the serve-side reader: buffered
 // decode so short poll timeouts never lose frame sync).
 
+/// Free space the read buffer keeps for each socket read.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One buffer serves the whole connection: `buf[start..end]` holds the
+/// bytes received but not yet consumed, and each read lands straight
+/// after them, so a read neither zeroes a scratch array nor copies.
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+/// A frame read off a connection. A SAMPLES frame keeps the bytes it
+/// arrived as (validated: header, checksum, bounds), so the router can
+/// buffer and forward them without decoding or re-encoding.
+enum Inbound {
+    Samples {
+        seq: u64,
+        count: usize,
+        frame: Vec<u8>,
+    },
+    Frame(Frame),
 }
 
 impl Conn {
@@ -498,33 +519,61 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
+            start: 0,
+            end: 0,
         })
+    }
+
+    /// Marks `n` buffered bytes consumed; an emptied buffer restarts at
+    /// its front.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// One socket read into the buffer's free tail. Unconsumed bytes
+    /// slide to the front when the tail runs short, and the buffer only
+    /// grows while a frame larger than it is arriving. `Ok(0)` is end of
+    /// stream.
+    fn fill(&mut self) -> io::Result<usize> {
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+        }
+        let n = self.stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Reads one frame; `Ok(None)` on clean close or shutdown. With a
     /// `deadline`, a quiet peer past it is an I/O timeout error.
-    fn read_frame(
+    fn read(
         &mut self,
         shutdown: &AtomicBool,
         deadline: Option<Instant>,
-    ) -> Result<Option<Frame>, ProtoError> {
+    ) -> Result<Option<Inbound>, ProtoError> {
         loop {
-            if self.buf.len() >= proto::HEADER_LEN {
-                match proto::decode_frame_view(&self.buf) {
+            if self.end - self.start >= proto::HEADER_LEN {
+                let pending = &self.buf[self.start..self.end];
+                match proto::decode_frame_view(pending) {
                     Ok((view, consumed)) => {
-                        let frame = match view {
-                            proto::FrameView::Samples(v) => {
-                                let mut samples = Vec::new();
-                                v.copy_into(&mut samples);
-                                Frame::Samples {
-                                    seq: v.seq,
-                                    samples,
-                                }
-                            }
-                            proto::FrameView::Owned(frame) => frame,
+                        let inbound = match view {
+                            proto::FrameView::Samples(v) => Inbound::Samples {
+                                seq: v.seq,
+                                count: v.len(),
+                                frame: pending[..consumed].to_vec(),
+                            },
+                            proto::FrameView::Owned(frame) => Inbound::Frame(frame),
                         };
-                        self.buf.drain(..consumed);
-                        return Ok(Some(frame));
+                        self.consume(consumed);
+                        return Ok(Some(inbound));
                     }
                     Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
                     Err(e) => return Err(e),
@@ -536,16 +585,15 @@ impl Conn {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(ProtoError::Io(io::ErrorKind::TimedOut.into()));
             }
-            let mut tmp = [0u8; 64 * 1024];
-            match self.stream.read(&mut tmp) {
+            match self.fill() {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if self.start == self.end {
                         Ok(None)
                     } else {
                         Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))
                     }
                 }
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
+                Ok(_) => {}
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -558,8 +606,28 @@ impl Conn {
         }
     }
 
+    /// [`Conn::read`] for legs that carry no SAMPLES the router forwards
+    /// (handshakes, backend replies, pollers): a SAMPLES frame is
+    /// decoded like any other, for the caller to reject.
+    fn read_frame(
+        &mut self,
+        shutdown: &AtomicBool,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Frame>, ProtoError> {
+        match self.read(shutdown, deadline)? {
+            Some(Inbound::Samples { frame, .. }) => Ok(Some(proto::decode_frame(&frame)?.0)),
+            Some(Inbound::Frame(frame)) => Ok(Some(frame)),
+            None => Ok(None),
+        }
+    }
+
     fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        proto::write_frame(&mut self.stream, frame)
+        self.write_bytes(&proto::encode_frame(frame))
+    }
+
+    /// Writes already-encoded frames in one call.
+    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.stream.write_all(bytes)
     }
 
     fn bail(&mut self, code: ErrorCode, message: &str) {
@@ -681,6 +749,24 @@ fn relay_reply(
     }
 }
 
+/// Writes a buffered client-space SAMPLES frame to a backend numbered
+/// `cseq - seq_offset`. With no offset (every session that was never
+/// lossily migrated) the received bytes go out unchanged; otherwise the
+/// frame is renumbered, its payload bytes copied as they are.
+fn forward_samples(b: &mut Conn, cseq: u64, frame: &[u8], seq_offset: u64) -> Result<(), BErr> {
+    if seq_offset == 0 {
+        b.write_bytes(frame)?;
+        return Ok(());
+    }
+    match proto::decode_frame_view(frame)?.0 {
+        proto::FrameView::Samples(v) => b.write_bytes(&v.encode_with_seq(cseq - seq_offset))?,
+        proto::FrameView::Owned(_) => {
+            return Err(BErr::Proto(ProtoError::Malformed("replay entry is not SAMPLES")))
+        }
+    }
+    Ok(())
+}
+
 /// Migrates `sess` off its (dead) owner onto the ring's next choice.
 /// On success the session points at the new backend and the returned
 /// connection is attached to it. See the module docs for the
@@ -718,10 +804,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         // space sequence numbers: the deterministic detector rebuilds
         // the exact pre-crash state and event numbering.
         for (seq, samples) in &rec.samples {
-            bconn.write(&Frame::Samples {
-                seq: *seq,
-                samples: samples.clone(),
-            })?;
+            bconn.write_bytes(&proto::encode_samples_frame(*seq, samples))?;
         }
         // Quiesce so the regenerated events finalize, then seed the v3
         // delivery cursor at the recovered value. The events of this
@@ -740,13 +823,9 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
             })?;
         }
         // Top up with the router-buffered frames the journal missed.
-        for (cseq, samples) in &sess.unacked {
-            let bseq = cseq - sess.seq_offset;
-            if bseq > stats.acked_seq {
-                bconn.write(&Frame::Samples {
-                    seq: bseq,
-                    samples: samples.clone(),
-                })?;
+        for (cseq, frame) in &sess.unacked {
+            if cseq - sess.seq_offset > stats.acked_seq {
+                forward_samples(&mut bconn, *cseq, frame, sess.seq_offset)?;
             }
         }
         sess.backend = new_name.clone();
@@ -774,12 +853,9 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         sess.btoken = btoken2;
         sess.backend_acked = 0;
         let mut bconn = bconn;
-        for (cseq, samples) in &sess.unacked {
+        for (cseq, frame) in &sess.unacked {
             if *cseq > sess.seq_offset {
-                bconn.write(&Frame::Samples {
-                    seq: cseq - sess.seq_offset,
-                    samples: samples.clone(),
-                })?;
+                forward_samples(&mut bconn, *cseq, frame, sess.seq_offset)?;
             }
         }
         shared.note_migration(&old, &new_name, true);
@@ -1598,8 +1674,9 @@ fn proxy_loop(
     bconn: &mut Conn,
     my_gen: u64,
 ) -> ProxyExit {
+    let mut reply_buf = Vec::new();
     loop {
-        let frame = match conn.read_frame(&shared.shutdown, None) {
+        let frame = match conn.read(&shared.shutdown, None) {
             Ok(Some(f)) => f,
             Ok(None) => {
                 let s = entry.lock().unwrap_or_else(|e| e.into_inner());
@@ -1632,43 +1709,40 @@ fn proxy_loop(
                 }
             }
         }
-        match frame {
-            Frame::Samples { seq, samples } => {
+        let frame = match frame {
+            Inbound::Samples { seq, count, frame } => {
                 shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
                 shared
                     .counters
                     .samples_in
-                    .fetch_add(samples.len() as u64, Ordering::Relaxed);
+                    .fetch_add(count as u64, Ordering::Relaxed);
                 shared
                     .counters
                     .bytes_in
-                    .fetch_add((samples.len() * 8 + 4) as u64, Ordering::Relaxed);
+                    .fetch_add((count * 8 + 4) as u64, Ordering::Relaxed);
                 obs::counter_add!("router.frames_forwarded", 1);
-                s.samples_pushed += samples.len() as u64;
+                s.samples_pushed += count as u64;
                 // Buffer before forwarding: a mid-write backend death is
                 // then covered by the migration replay.
-                s.unacked.push_back((seq, samples));
+                s.unacked.push_back((seq, frame));
                 while s.unacked.len() > UNACKED_CAP {
                     s.unacked.pop_front();
                     s.unacked_torn = true;
                 }
                 let forward = with_backend_retry(shared, &mut s, bconn, |b, s| {
-                    let (bseq, samples) = {
-                        let (cseq, samples) = s.unacked.back().expect("just pushed");
-                        (cseq - s.seq_offset, samples.clone())
-                    };
-                    b.write(&Frame::Samples {
-                        seq: bseq,
-                        samples,
-                    })?;
-                    Ok(())
+                    let (cseq, frame) = s.unacked.back().expect("just pushed");
+                    forward_samples(b, *cseq, frame, s.seq_offset)
                 });
                 if let Err(e) = forward {
                     drop(s);
                     conn.bail(ErrorCode::Internal, &format!("forward failed: {e}"));
                     return ProxyExit::Lost;
                 }
+                continue;
             }
+            Inbound::Frame(frame) => frame,
+        };
+        match frame {
             ctl @ (Frame::Flush | Frame::Fin) => {
                 let fin = matches!(ctl, Frame::Fin);
                 // Forward the control frame and stream the reply back,
@@ -1742,10 +1816,13 @@ fn proxy_loop(
                     }
                 }
                 drop(s);
+                // The translated EVENTS…STATS reply goes out in one write.
+                reply_buf.clear();
                 for f in &relayed {
-                    if conn.write(f).is_err() {
-                        return ProxyExit::Lost;
-                    }
+                    proto::encode_frame_into(&mut reply_buf, f);
+                }
+                if conn.write_bytes(&reply_buf).is_err() {
+                    return ProxyExit::Lost;
                 }
             }
             Frame::EventsAck { seq } => {

@@ -35,7 +35,7 @@
 //! live in [`ClientConfig`].
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -152,20 +152,22 @@ impl ClientError {
     }
 }
 
+/// A client connection: replies are read through a buffer (a frame's
+/// header and payload usually arrive in one read), requests are written
+/// to the socket directly with [`BufReader::get_mut`].
+type Link = BufReader<TcpStream>;
+
 /// Resolves and connects with the configured read timeout.
-fn connect_stream(addrs: &[SocketAddr], read_timeout: Duration) -> io::Result<TcpStream> {
+fn connect_stream(addrs: &[SocketAddr], read_timeout: Duration) -> io::Result<Link> {
     let stream = TcpStream::connect(addrs)?;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(read_timeout))?;
-    Ok(stream)
+    Ok(BufReader::new(stream))
 }
 
 /// Reads one frame, promoting server ERROR frames to [`ClientError`]
 /// and absorbing heartbeats (reporting their acked sequence to `acked`).
-fn read_reply<F: FnMut(u64)>(
-    stream: &mut TcpStream,
-    mut acked: F,
-) -> Result<Frame, ClientError> {
+fn read_reply<F: FnMut(u64)>(stream: &mut impl Read, mut acked: F) -> Result<Frame, ClientError> {
     loop {
         match proto::read_frame(stream)? {
             Frame::Heartbeat { acked_seq } => acked(acked_seq),
@@ -182,7 +184,7 @@ fn read_reply<F: FnMut(u64)>(
 /// stats, and the highest event sequence the reply offered (what the
 /// caller should acknowledge).
 fn read_events_and_stats<F: FnMut(u64)>(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     seen: u64,
     mut acked: F,
 ) -> Result<(Vec<StallEvent>, SessionStatsWire, u64), ClientError> {
@@ -214,8 +216,8 @@ struct Ack {
     trace_id: u64,
 }
 
-fn handshake(stream: &mut TcpStream, hello: Hello) -> Result<Ack, ClientError> {
-    proto::write_frame(stream, &Frame::Hello(hello))?;
+fn handshake(stream: &mut Link, hello: Hello) -> Result<Ack, ClientError> {
+    proto::write_frame(stream.get_mut(), &Frame::Hello(hello))?;
     match read_reply(stream, |_| {})? {
         Frame::HelloAck {
             version,
@@ -287,7 +289,7 @@ pub fn backoff_with_jitter(cfg: &ClientConfig, attempt: u32, rng: &mut u64) -> D
 /// ```
 #[derive(Debug)]
 pub struct ProfileClient {
-    stream: TcpStream,
+    stream: Link,
     addrs: Vec<SocketAddr>,
     hello: Hello,
     cfg: ClientConfig,
@@ -299,8 +301,9 @@ pub struct ProfileClient {
     next_seq: u64,
     /// Highest sequence the server has acknowledged.
     acked_seq: u64,
-    /// Frames past `acked_seq`, retained for replay after a resume.
-    unacked: VecDeque<(u64, Vec<f64>)>,
+    /// Encoded SAMPLES frames past `acked_seq`, retained for replay
+    /// after a resume.
+    unacked: VecDeque<(u64, Vec<u8>)>,
     /// Highest event sequence number consumed (events are numbered from
     /// 1 by the server). Replies re-offer the server's unacked suffix;
     /// everything at or below this watermark is a duplicate and is
@@ -407,7 +410,7 @@ impl ProfileClient {
     /// hook simulating a transport loss. The next operation reconnects
     /// and resumes (when [`ClientConfig::max_reconnects`] permits).
     pub fn drop_connection(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.stream.get_ref().shutdown(std::net::Shutdown::Both);
     }
 
     fn note_acked(&mut self, acked: u64) {
@@ -465,14 +468,8 @@ impl ProfileClient {
         // Replay everything the server has not acknowledged, in order,
         // with the original sequence numbers. The server drops any
         // frame it already ingested.
-        for (seq, samples) in self.unacked.iter() {
-            proto::write_frame(
-                &mut self.stream,
-                &Frame::Samples {
-                    seq: *seq,
-                    samples: samples.clone(),
-                },
-            )?;
+        for (_, frame) in &self.unacked {
+            self.stream.get_mut().write_all(frame)?;
         }
         Ok(())
     }
@@ -509,19 +506,17 @@ impl ProfileClient {
         for chunk in samples.chunks(self.max_samples_per_frame.max(1)) {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.unacked.push_back((seq, chunk.to_vec()));
+            // Encoded once, straight from the caller's slice; the same
+            // bytes are written now and replayed after a resume.
+            let frame = proto::encode_samples_frame(seq, chunk);
+            self.unacked.push_back((seq, frame));
             // On transport loss, the resume replays the whole unacked
             // queue (which includes this frame); the retried write is
-            // then a duplicate the server drops by sequence number.
-            self.with_resilience(|c| {
-                proto::write_frame(
-                    &mut c.stream,
-                    &Frame::Samples {
-                        seq,
-                        samples: chunk.to_vec(),
-                    },
-                )
-                .map_err(ClientError::from)
+            // then a duplicate the server drops by sequence number, or
+            // nothing at all if the resume found the frame acknowledged.
+            self.with_resilience(|c| match c.unacked.back() {
+                Some((s, frame)) if *s == seq => Ok(c.stream.get_mut().write_all(frame)?),
+                _ => Ok(()),
             })?;
             if self.unacked.len() > self.cfg.max_unacked_frames {
                 // The implicit flush stashes its fresh events in
@@ -570,7 +565,7 @@ impl ProfileClient {
     fn exchange_control(&mut self, fin: bool) -> Result<SessionStatsWire, ClientError> {
         let control = if fin { Frame::Fin } else { Frame::Flush };
         let stats = self.with_resilience(|c| {
-            proto::write_frame(&mut c.stream, &control)?;
+            proto::write_frame(c.stream.get_mut(), &control)?;
             let mut hb_acked = 0u64;
             let r = read_events_and_stats(&mut c.stream, c.events_seen, |a| {
                 hb_acked = hb_acked.max(a)
@@ -582,7 +577,7 @@ impl ProfileClient {
             // Tell the server delivery landed so it can advance its
             // cursor (and, when journaled, compact). If this write is
             // lost the server merely re-offers on the next exchange.
-            proto::write_frame(&mut c.stream, &Frame::EventsAck { seq: offered })?;
+            proto::write_frame(c.stream.get_mut(), &Frame::EventsAck { seq: offered })?;
             Ok(stats)
         })?;
         self.note_acked(stats.acked_seq);
@@ -601,7 +596,7 @@ impl ProfileClient {
     /// Propagates transport failures from the doomed exchange itself
     /// (no resilience: this *is* the fault injector).
     pub fn flush_lost_reply(&mut self) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, &Frame::Flush)?;
+        proto::write_frame(self.stream.get_mut(), &Frame::Flush)?;
         // Read the whole reply so the server has demonstrably completed
         // the delivery attempt, then throw it away un-acked.
         let mut hb_acked = 0u64;
@@ -632,7 +627,7 @@ impl ProfileClient {
 /// tail and aggregate stats.
 #[derive(Debug)]
 pub struct WatchClient {
-    stream: TcpStream,
+    stream: Link,
     cursor: u64,
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
@@ -707,7 +702,7 @@ impl WatchClient {
     /// hook simulating a transport loss. The next poll reconnects with
     /// the same cursor.
     pub fn drop_connection(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.stream.get_ref().shutdown(std::net::Shutdown::Both);
     }
 
     /// One poll: events finalized since the last poll plus server-wide
@@ -745,7 +740,7 @@ impl WatchClient {
 
     fn poll_once(&mut self) -> Result<Tail, ClientError> {
         proto::write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             &Frame::Watch {
                 cursor: self.cursor,
             },
@@ -794,7 +789,7 @@ impl WatchClient {
 /// the numbers it reports.
 #[derive(Debug)]
 pub struct MetricsClient {
-    stream: TcpStream,
+    stream: Link,
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
     rng: u64,
@@ -841,7 +836,7 @@ impl MetricsClient {
     /// Severs the TCP connection without telling the server — a test
     /// hook simulating a transport loss. The next fetch reconnects.
     pub fn drop_connection(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.stream.get_ref().shutdown(std::net::Shutdown::Both);
     }
 
     /// One METRICS poll: the server's full telemetry snapshot, its
@@ -968,7 +963,7 @@ impl MetricsClient {
     }
 
     fn request_once(&mut self, req: &Frame) -> Result<Frame, ClientError> {
-        proto::write_frame(&mut self.stream, req)?;
+        proto::write_frame(self.stream.get_mut(), req)?;
         read_reply(&mut self.stream, |_| {})
     }
 

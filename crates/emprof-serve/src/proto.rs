@@ -7,13 +7,19 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic            0x454D ("EM")
-//! 2       2     protocol version (currently 4)
+//! 2       2     protocol version (currently 6)
 //! 4       1     frame type       (FrameType)
 //! 5       1     flags            (per-type bits)
-//! 6       2     header checksum  FNV-1a-16 of the other 14 header bytes
+//! 6       2     header checksum  CRC-32 of the other 14 header bytes,
+//!                                folded to 16 bits (high half ^ low half)
 //! 8       4     payload length   bounded by MAX_PAYLOAD
-//! 12      4     payload checksum FNV-1a-32 of the payload bytes
+//! 12      4     payload checksum CRC-32 of the payload bytes
 //! ```
+//!
+//! Both checksums are CRC-32 (IEEE) computed by the slice-by-16 kernel
+//! the journal uses for its records ([`emprof_store::crc32`]), so a
+//! frame and the journal record it becomes are checked by the same
+//! code. They detect corruption; they do not authenticate.
 //!
 //! Decoding is fuzz-resistant by construction: the header is validated
 //! (magic, version, header checksum, length bound) before a single
@@ -21,11 +27,18 @@
 //! checksum is verified before decoding, and the decoder itself is a
 //! bounds-checked cursor that can fail but never panic and never
 //! allocates more than the (bounded) payload it was handed.
+//!
+//! Encoding builds each frame in one buffer: a header placeholder, the
+//! payload written straight after it, then the length and both
+//! checksums patched into the header in place. [`encode_frame_into`]
+//! appends to a caller's buffer, so a multi-frame reply (EVENTS…STATS)
+//! goes out in one write.
 
 use std::io::{self, Read, Write};
 
 use emprof_core::{CalibConfig, Confidence, EmprofConfig, StallEvent, StallKind};
 use emprof_obs::{HistogramSnapshot, MeterSnapshot, Snapshot, SpanSnapshot};
+use emprof_store::{crc32, Crc32};
 
 /// First two header bytes: `b"EM"` read as a little-endian u16.
 pub const MAGIC: u16 = u16::from_le_bytes(*b"EM");
@@ -50,7 +63,11 @@ pub const MAGIC: u16 = u16::from_le_bytes(*b"EM");
 /// version 5 *additively*, like the cluster frames before them: a peer
 /// that never sends a QUERY never sees a QUERY_RESULT, so the version
 /// number is unchanged.
-pub const VERSION: u16 = 5;
+/// Version 6 replaces the FNV-1a header and payload checksums with
+/// CRC-32. Every frame's checksum bytes change, so the version moves:
+/// an older peer is answered with [`ErrorCode::UnsupportedVersion`]
+/// instead of failing every frame's checksum.
+pub const VERSION: u16 = 6;
 
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -761,30 +778,17 @@ impl ProtoError {
 }
 
 // ---------------------------------------------------------------------
-// Checksums: FNV-1a, dependency-free and plenty for corruption detection
-// (integrity, not authentication).
+// Checksums: CRC-32 (IEEE) for both fields (integrity, not
+// authentication).
 
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-fn fnv1a16(bytes: &[u8]) -> u16 {
-    let h = fnv1a32(bytes);
-    ((h >> 16) ^ (h & 0xffff)) as u16
-}
-
-/// The 14 header bytes the header checksum covers (everything but the
-/// checksum field itself).
+/// The header checksum: CRC-32 of the 14 header bytes it covers
+/// (everything but the checksum field itself), folded to 16 bits.
 fn header_checksum(buf: &[u8; HEADER_LEN]) -> u16 {
-    let mut covered = [0u8; HEADER_LEN - 2];
-    covered[..6].copy_from_slice(&buf[..6]);
-    covered[6..].copy_from_slice(&buf[8..]);
-    fnv1a16(&covered)
+    let mut crc = Crc32::new();
+    crc.update(&buf[..6]);
+    crc.update(&buf[8..]);
+    let h = crc.finish();
+    ((h >> 16) ^ (h & 0xffff)) as u16
 }
 
 // ---------------------------------------------------------------------
@@ -889,6 +893,20 @@ impl<'a> SamplesView<'a> {
         out.reserve(self.len());
         out.extend(self.iter());
     }
+
+    /// Encodes these samples as a SAMPLES frame numbered `seq`, copying
+    /// the payload bytes as they are (no f64 round trip). This is how a
+    /// router renumbers a frame it otherwise forwards verbatim.
+    #[must_use]
+    pub fn encode_with_seq(&self, seq: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + 12 + self.raw.len());
+        let start = begin_frame(&mut out);
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.raw);
+        seal_frame(&mut out, start, FrameType::Samples, 0);
+        out
+    }
 }
 
 /// A decoded frame whose SAMPLES payload borrows from the input buffer;
@@ -915,6 +933,18 @@ fn samples_view(payload: &[u8]) -> Result<SamplesView<'_>, ProtoError> {
     let raw = c.take(count as usize * 8)?;
     c.done()?;
     Ok(SamplesView { seq, raw })
+}
+
+/// A SAMPLES payload: sequence number, count, then the samples as
+/// little-endian f64 bits, written straight from the slice.
+fn put_samples(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
+    let at = out.len();
+    out.resize(at + samples.len() * 8, 0);
+    for (dst, s) in out[at..].chunks_exact_mut(8).zip(samples) {
+        dst.copy_from_slice(&s.to_le_bytes());
+    }
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -1178,8 +1208,9 @@ fn decode_server_stats(c: &mut Cursor<'_>) -> Result<ServerStatsWire, ProtoError
     })
 }
 
-fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
-    let mut p = Vec::new();
+/// Appends `frame`'s payload to `p` and returns its header type and
+/// flags.
+fn encode_payload(frame: &Frame, p: &mut Vec<u8>) -> (FrameType, u8) {
     match frame {
         Frame::Hello(h) => {
             p.extend_from_slice(&h.sample_rate_hz.to_le_bytes());
@@ -1202,7 +1233,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&c.calib.degraded_exit.to_le_bytes());
             p.extend_from_slice(&(c.calib.window_min as u64).to_le_bytes());
             p.extend_from_slice(&c.calib.drift_tolerance.to_le_bytes());
-            put_string(&mut p, &h.device);
+            put_string(p, &h.device);
             p.extend_from_slice(&h.resume_session_id.to_le_bytes());
             p.extend_from_slice(&h.resume_token.to_le_bytes());
             let mut flags = 0;
@@ -1212,7 +1243,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             if h.proxied {
                 flags |= FLAG_PROXIED;
             }
-            (FrameType::Hello, flags, p)
+            (FrameType::Hello, flags)
         }
         Frame::HelloAck {
             version,
@@ -1228,22 +1259,18 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&resume_token.to_le_bytes());
             p.extend_from_slice(&acked_seq.to_le_bytes());
             p.extend_from_slice(&trace_id.to_le_bytes());
-            (FrameType::HelloAck, 0, p)
+            (FrameType::HelloAck, 0)
         }
         Frame::Samples { seq, samples } => {
-            p.extend_from_slice(&seq.to_le_bytes());
-            p.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-            for s in samples {
-                p.extend_from_slice(&s.to_le_bytes());
-            }
-            (FrameType::Samples, 0, p)
+            put_samples(p, *seq, samples);
+            (FrameType::Samples, 0)
         }
-        Frame::Flush => (FrameType::Flush, 0, p),
-        Frame::Fin => (FrameType::Fin, 0, p),
+        Frame::Flush => (FrameType::Flush, 0),
+        Frame::Fin => (FrameType::Fin, 0),
         Frame::Events { first_seq, events } => {
             p.extend_from_slice(&first_seq.to_le_bytes());
-            encode_event_list(&mut p, events);
-            (FrameType::Events, 0, p)
+            encode_event_list(p, events);
+            (FrameType::Events, 0)
         }
         Frame::Stats(s) => {
             p.extend_from_slice(&s.samples_pushed.to_le_bytes());
@@ -1257,46 +1284,45 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             (
                 FrameType::Stats,
                 if s.final_report { FLAG_FINAL } else { 0 },
-                p,
             )
         }
         Frame::Error { code, message } => {
             p.extend_from_slice(&(*code as u16).to_le_bytes());
-            put_string(&mut p, message);
-            (FrameType::Error, 0, p)
+            put_string(p, message);
+            (FrameType::Error, 0)
         }
         Frame::Watch { cursor } => {
             p.extend_from_slice(&cursor.to_le_bytes());
-            (FrameType::Watch, 0, p)
+            (FrameType::Watch, 0)
         }
         Frame::Tail(t) => {
             p.extend_from_slice(&t.cursor.to_le_bytes());
             p.extend_from_slice(&t.missed.to_le_bytes());
-            encode_server_stats(&mut p, &t.server);
+            encode_server_stats(p, &t.server);
             p.extend_from_slice(&(t.events.len() as u32).to_le_bytes());
             for te in &t.events {
                 p.extend_from_slice(&te.session_id.to_le_bytes());
-                encode_event(&mut p, &te.event);
+                encode_event(p, &te.event);
             }
-            (FrameType::Tail, 0, p)
+            (FrameType::Tail, 0)
         }
         Frame::Heartbeat { acked_seq } => {
             p.extend_from_slice(&acked_seq.to_le_bytes());
-            (FrameType::Heartbeat, 0, p)
+            (FrameType::Heartbeat, 0)
         }
         Frame::EventsAck { seq } => {
             p.extend_from_slice(&seq.to_le_bytes());
-            (FrameType::EventsAck, 0, p)
+            (FrameType::EventsAck, 0)
         }
-        Frame::MetricsRequest => (FrameType::MetricsRequest, 0, p),
+        Frame::MetricsRequest => (FrameType::MetricsRequest, 0),
         Frame::Metrics(m) => {
-            encode_snapshot_wire(&mut p, &m.snapshot);
-            encode_server_stats(&mut p, &m.server);
+            encode_snapshot_wire(p, &m.snapshot);
+            encode_server_stats(p, &m.server);
             p.extend_from_slice(&(m.sessions.len() as u32).to_le_bytes());
             for row in &m.sessions {
                 p.extend_from_slice(&row.session_id.to_le_bytes());
                 p.extend_from_slice(&row.trace_id.to_le_bytes());
-                put_string(&mut p, &row.device);
+                put_string(p, &row.device);
                 p.push(row.connected as u8);
                 p.extend_from_slice(&row.queue_depth.to_le_bytes());
                 p.extend_from_slice(&row.queue_capacity.to_le_bytes());
@@ -1310,48 +1336,48 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
                 p.extend_from_slice(&row.events_degraded.to_le_bytes());
                 p.extend_from_slice(&row.idle_ms.to_le_bytes());
             }
-            (FrameType::Metrics, 0, p)
+            (FrameType::Metrics, 0)
         }
-        Frame::HealthRequest => (FrameType::HealthRequest, 0, p),
+        Frame::HealthRequest => (FrameType::HealthRequest, 0),
         Frame::Health(h) => {
             p.push(h.healthy as u8);
             p.extend_from_slice(&h.uptime_ms.to_le_bytes());
             p.extend_from_slice(&h.sessions_active.to_le_bytes());
             p.extend_from_slice(&h.max_sessions.to_le_bytes());
             p.push(h.journal_enabled as u8);
-            (FrameType::Health, 0, p)
+            (FrameType::Health, 0)
         }
         Frame::FlightRequest { session_id } => {
             p.extend_from_slice(&session_id.to_le_bytes());
-            (FrameType::FlightRequest, 0, p)
+            (FrameType::FlightRequest, 0)
         }
         Frame::FlightReply { dumps } => {
             p.extend_from_slice(&(dumps.len() as u32).to_le_bytes());
             for d in dumps {
                 p.extend_from_slice(&d.session_id.to_le_bytes());
                 p.extend_from_slice(&d.trace_id.to_le_bytes());
-                put_long_string(&mut p, &d.json);
+                put_long_string(p, &d.json);
             }
-            (FrameType::FlightReply, 0, p)
+            (FrameType::FlightReply, 0)
         }
         Frame::ClusterJoin { name, addr, action } => {
-            put_string(&mut p, name);
-            put_string(&mut p, addr);
+            put_string(p, name);
+            put_string(p, addr);
             p.push(*action as u8);
-            (FrameType::ClusterJoin, 0, p)
+            (FrameType::ClusterJoin, 0)
         }
-        Frame::ClusterStateRequest => (FrameType::ClusterState, FLAG_REQUEST, p),
+        Frame::ClusterStateRequest => (FrameType::ClusterState, FLAG_REQUEST),
         Frame::ClusterStateReply { nodes } => {
             p.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
             for n in nodes {
-                encode_node_health(&mut p, n);
+                encode_node_health(p, n);
             }
-            (FrameType::ClusterState, 0, p)
+            (FrameType::ClusterState, 0)
         }
-        Frame::NodeHealthRequest => (FrameType::NodeHealth, FLAG_REQUEST, p),
+        Frame::NodeHealthRequest => (FrameType::NodeHealth, FLAG_REQUEST),
         Frame::NodeHealthReply(n) => {
-            encode_node_health(&mut p, n);
-            (FrameType::NodeHealth, 0, p)
+            encode_node_health(p, n);
+            (FrameType::NodeHealth, 0)
         }
         Frame::Query(q) => {
             p.extend_from_slice(&q.t0.to_le_bytes());
@@ -1361,13 +1387,13 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             for id in &q.sessions {
                 p.extend_from_slice(&id.to_le_bytes());
             }
-            (FrameType::Query, 0, p)
+            (FrameType::Query, 0)
         }
         Frame::QueryResult(r) => {
             p.extend_from_slice(&r.events.to_le_bytes());
             p.extend_from_slice(&r.degraded.to_le_bytes());
             p.extend_from_slice(&r.refresh_collisions.to_le_bytes());
-            encode_histogram_wire(&mut p, &r.latency);
+            encode_histogram_wire(p, &r.latency);
             p.extend_from_slice(&(r.timeline.len() as u32).to_le_bytes());
             for n in &r.timeline {
                 p.extend_from_slice(&n.to_le_bytes());
@@ -1375,7 +1401,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&(r.sessions.len() as u32).to_le_bytes());
             for row in &r.sessions {
                 p.extend_from_slice(&row.session_id.to_le_bytes());
-                put_string(&mut p, &row.device);
+                put_string(p, &row.device);
                 p.extend_from_slice(&row.events.to_le_bytes());
                 p.extend_from_slice(&row.degraded.to_le_bytes());
                 p.extend_from_slice(&row.refresh_collisions.to_le_bytes());
@@ -1385,7 +1411,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&r.cache_hits.to_le_bytes());
             p.extend_from_slice(&r.cache_misses.to_le_bytes());
             p.extend_from_slice(&r.nodes.to_le_bytes());
-            (FrameType::QueryResult, 0, p)
+            (FrameType::QueryResult, 0)
         }
     }
 }
@@ -1675,22 +1701,59 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
 // ---------------------------------------------------------------------
 // Framed I/O.
 
-/// Serializes a frame to bytes (header + payload).
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (ty, flags, payload) = encode_payload(frame);
+/// Reserves a header placeholder at the end of `out`; returns where the
+/// frame starts. The payload is appended after it, then [`seal_frame`]
+/// fills the header in.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    start
+}
+
+/// Patches the header of the frame that starts at `start` and runs to
+/// the end of `out`: type, flags, payload length, payload CRC, and the
+/// header checksum last.
+fn seal_frame(out: &mut [u8], start: usize, ty: FrameType, flags: u8) {
+    let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
     debug_assert!(payload.len() <= MAX_PAYLOAD as usize, "frame too large");
-    let mut buf = [0u8; HEADER_LEN];
-    buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
-    buf[4] = ty as u8;
-    buf[5] = flags;
-    buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
-    let hsum = header_checksum(&buf);
-    buf[6..8].copy_from_slice(&hsum.to_le_bytes());
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&buf);
-    out.extend_from_slice(&payload);
+    let header: &mut [u8; HEADER_LEN] = header.try_into().unwrap();
+    header[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+    header[2..4].copy_from_slice(&VERSION.to_le_bytes());
+    header[4] = ty as u8;
+    header[5] = flags;
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+    let hsum = header_checksum(header);
+    header[6..8].copy_from_slice(&hsum.to_le_bytes());
+}
+
+/// Appends one encoded frame (header + payload) to `out`, so several
+/// frames can be built into one buffer and written at once.
+pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
+    let start = begin_frame(out);
+    let (ty, flags) = encode_payload(frame, out);
+    seal_frame(out, start, ty, flags);
+}
+
+/// Serializes a frame to bytes (header + payload). A SAMPLES frame's
+/// buffer is sized exactly up front.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let payload = match frame {
+        Frame::Samples { samples, .. } => 12 + 8 * samples.len(),
+        _ => 64,
+    };
+    let mut out = Vec::with_capacity(HEADER_LEN + payload);
+    encode_frame_into(&mut out, frame);
+    out
+}
+
+/// Encodes a SAMPLES frame straight from a borrowed slice — the
+/// client's send path, which never builds an owned [`Frame`].
+pub fn encode_samples_frame(seq: u64, samples: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + 12 + 8 * samples.len());
+    let start = begin_frame(&mut out);
+    put_samples(&mut out, seq, samples);
+    seal_frame(&mut out, start, FrameType::Samples, 0);
     out
 }
 
@@ -1754,7 +1817,7 @@ where
 {
     let (ty, flags, len, sum) = validate_header(header)?;
     let payload = fetch(len)?;
-    if fnv1a32(&payload) != sum {
+    if crc32(&payload) != sum {
         return Err(ProtoError::PayloadChecksum);
     }
     decode_payload(ty, flags, &payload)
@@ -1775,7 +1838,7 @@ fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], usize), ProtoError
         .filter(|&e| e <= bytes.len())
         .ok_or(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))?;
     let payload = &bytes[HEADER_LEN..end];
-    if fnv1a32(payload) != sum {
+    if crc32(payload) != sum {
         return Err(ProtoError::PayloadChecksum);
     }
     Ok((ty, flags, payload, end))
@@ -2180,7 +2243,7 @@ mod tests {
         buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
         buf[4] = FrameType::Metrics as u8;
         buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
+        buf[12..16].copy_from_slice(&crc32(&payload).to_le_bytes());
         let hsum = header_checksum(&buf);
         buf[6..8].copy_from_slice(&hsum.to_le_bytes());
         let mut bytes = buf.to_vec();
@@ -2202,7 +2265,7 @@ mod tests {
         buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
         buf[4] = FrameType::ClusterState as u8;
         buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
+        buf[12..16].copy_from_slice(&crc32(&payload).to_le_bytes());
         let hsum = header_checksum(&buf);
         buf[6..8].copy_from_slice(&hsum.to_le_bytes());
         let mut bytes = buf.to_vec();
@@ -2217,7 +2280,7 @@ mod tests {
         });
         let last = join.len() - 1;
         join[last] = 99;
-        let sum = fnv1a32(&join[HEADER_LEN..]);
+        let sum = crc32(&join[HEADER_LEN..]);
         join[12..16].copy_from_slice(&sum.to_le_bytes());
         let hsum = header_checksum(&join[..HEADER_LEN].try_into().unwrap());
         join[6..8].copy_from_slice(&hsum.to_le_bytes());
@@ -2274,7 +2337,7 @@ mod tests {
         buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
         buf[4] = FrameType::Query as u8;
         buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
+        buf[12..16].copy_from_slice(&crc32(&payload).to_le_bytes());
         let hsum = header_checksum(&buf);
         buf[6..8].copy_from_slice(&hsum.to_le_bytes());
         let mut bytes = buf.to_vec();
@@ -2462,7 +2525,7 @@ mod tests {
         buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
         buf[4] = FrameType::Samples as u8;
         buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
+        buf[12..16].copy_from_slice(&crc32(&payload).to_le_bytes());
         let hsum = header_checksum(&buf);
         buf[6..8].copy_from_slice(&hsum.to_le_bytes());
         let mut bytes = buf.to_vec();

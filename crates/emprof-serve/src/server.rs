@@ -30,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -897,11 +897,22 @@ fn scrape_body(shared: &Arc<Shared>) -> String {
 // ---------------------------------------------------------------------
 // Connection handling.
 
+/// Free space the read buffer keeps for each socket read.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// A framed connection with an accumulation buffer, so short read
-/// timeouts (used to observe shutdown) never lose frame sync.
+/// timeouts (used to observe shutdown) never lose frame sync. One
+/// buffer serves the whole connection: `buf[start..end]` holds the
+/// bytes received but not yet consumed, and each read lands straight
+/// after them, so a read neither zeroes a scratch array nor copies.
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Shutdown was seen and everything already readable was read: no
+    /// further reads, only frames already complete in `buf`.
+    drained: bool,
 }
 
 impl Conn {
@@ -911,7 +922,47 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
+            start: 0,
+            end: 0,
+            drained: false,
         })
+    }
+
+    /// Marks `n` buffered bytes consumed; an emptied buffer restarts at
+    /// its front.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// One socket read into the buffer's free tail. Unconsumed bytes
+    /// slide to the front when the tail runs short, and the buffer only
+    /// grows while a frame larger than it is arriving. `Ok(0)` is end of
+    /// stream.
+    fn fill(&mut self) -> io::Result<usize> {
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+        }
+        let n = self.stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Reads, without blocking, whatever the peer has already sent, up
+    /// to end of stream or the first error.
+    fn drain_readable(&mut self) {
+        if self.stream.set_nonblocking(true).is_ok() {
+            while matches!(self.fill(), Ok(n) if n > 0) {}
+            let _ = self.stream.set_nonblocking(false);
+        }
     }
 
     /// Reads one frame. `Ok(None)` means the peer closed cleanly between
@@ -929,6 +980,11 @@ impl Conn {
     /// and their samples written into a vector obtained from
     /// `samples_buf` — the session loop hands out pooled buffers here,
     /// making steady-state ingest allocation-free per frame.
+    ///
+    /// Once shutdown is requested, the bytes the peer already wrote are
+    /// still read (without blocking) and their complete frames returned
+    /// before `Ok(None)`: samples a client sent before the shutdown are
+    /// ingested, not dropped.
     fn read_frame_hb<F: Fn() -> Frame>(
         &mut self,
         shutdown: &AtomicBool,
@@ -937,8 +993,8 @@ impl Conn {
     ) -> Result<Option<Frame>, ProtoError> {
         let mut last_io = Instant::now();
         loop {
-            if self.buf.len() >= proto::HEADER_LEN {
-                match proto::decode_frame_view(&self.buf) {
+            if self.end - self.start >= proto::HEADER_LEN {
+                match proto::decode_frame_view(&self.buf[self.start..self.end]) {
                     Ok((view, consumed)) => {
                         let frame = match view {
                             proto::FrameView::Samples(v) => {
@@ -952,7 +1008,7 @@ impl Conn {
                             }
                             proto::FrameView::Owned(frame) => frame,
                         };
-                        self.buf.drain(..consumed);
+                        self.consume(consumed);
                         return Ok(Some(frame));
                     }
                     Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
@@ -960,21 +1016,22 @@ impl Conn {
                 }
             }
             if shutdown.load(Ordering::SeqCst) {
-                return Ok(None);
+                if self.drained {
+                    return Ok(None);
+                }
+                self.drained = true;
+                self.drain_readable();
+                continue;
             }
-            let mut tmp = [0u8; 64 * 1024];
-            match self.stream.read(&mut tmp) {
+            match self.fill() {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if self.start == self.end {
                         Ok(None)
                     } else {
                         Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))
                     }
                 }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&tmp[..n]);
-                    last_io = Instant::now();
-                }
+                Ok(_) => last_io = Instant::now(),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -997,7 +1054,12 @@ impl Conn {
     }
 
     fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        proto::write_frame(&mut self.stream, frame)
+        self.write_bytes(&proto::encode_frame(frame))
+    }
+
+    /// Writes already-encoded frames in one call.
+    fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.stream.write_all(bytes)
     }
 
     /// Best-effort error frame; the connection is abandoned after it.
@@ -1380,6 +1442,7 @@ fn session_loop(
     session: &Arc<Session>,
     generation: u64,
 ) -> SessionExit {
+    let mut reply_buf = Vec::new();
     loop {
         let hb = shared.config.heartbeat_interval.map(|iv| {
             (iv, || Frame::Heartbeat {
@@ -1431,30 +1494,28 @@ fn session_loop(
                         // client can dedup redeliveries. Only an
                         // EVENTS_ACK frame advances the cursor, so a
                         // reply lost in flight is simply re-offered by
-                        // the next FLUSH/FIN (or by resume).
-                        let mut ok = true;
-                        let mut offset = 0u64;
+                        // the next FLUSH/FIN (or by resume). The whole
+                        // EVENTS…STATS reply is built in one buffer and
+                        // written once.
+                        reply_buf.clear();
+                        let mut first_seq = reply.first_seq;
                         for chunk in reply.events.chunks(EVENTS_PER_FRAME) {
-                            ok = ok
-                                && conn
-                                    .write(&Frame::Events {
-                                        first_seq: reply.first_seq + offset,
-                                        events: chunk.to_vec(),
-                                    })
-                                    .is_ok();
-                            offset += chunk.len() as u64;
+                            let events = Frame::Events {
+                                first_seq,
+                                events: chunk.to_vec(),
+                            };
+                            proto::encode_frame_into(&mut reply_buf, &events);
+                            first_seq += chunk.len() as u64;
                         }
                         if reply.events.is_empty() {
-                            ok = ok
-                                && conn
-                                    .write(&Frame::Events {
-                                        first_seq: reply.first_seq,
-                                        events: Vec::new(),
-                                    })
-                                    .is_ok();
+                            let events = Frame::Events {
+                                first_seq,
+                                events: Vec::new(),
+                            };
+                            proto::encode_frame_into(&mut reply_buf, &events);
                         }
-                        ok = ok && conn.write(&Frame::Stats(reply.stats)).is_ok();
-                        if !ok {
+                        proto::encode_frame_into(&mut reply_buf, &Frame::Stats(reply.stats));
+                        if conn.write_bytes(&reply_buf).is_err() {
                             // A failed reply write is a transport loss:
                             // detach, keep the session resumable. The
                             // unacked suffix is redelivered on resume.

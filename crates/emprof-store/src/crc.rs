@@ -1,10 +1,12 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected), dependency-free.
 //!
-//! Every journal record carries a CRC over its kind byte and payload;
-//! every segment header carries one over the other header bytes. The
-//! FNV checksums used on the wire are too weak for at-rest corruption
-//! detection across power loss — CRC-32 detects all burst errors up to
-//! 32 bits and has a well-understood miss rate beyond that.
+//! The one checksum kernel of the system, on disk and on the wire. Every
+//! journal record carries a CRC over its kind byte and payload; every
+//! segment header carries one over the other header bytes; every
+//! `emprof-serve` protocol frame carries one over its payload and a
+//! folded one over its header. CRC-32 detects all burst errors up to 32
+//! bits and has a well-understood miss rate beyond that, which a
+//! multiplicative hash such as FNV-1a does not guarantee.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;

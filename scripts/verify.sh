@@ -8,6 +8,15 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Unit tests of the wire, router and journal crates, which the root
+# `cargo test` does not run: protocol roundtrip, fuzz and bounds tests,
+# the CRC-32 reference tests and the pinned on-disk journal format.
+cargo test -q --release -p emprof-serve -p emprof-router -p emprof-store
+
+# Golden wire corpus: one frame per frame type, pinned byte for byte,
+# with both checksums checked against an independent CRC-32.
+cargo test -q --release --test wire_golden
+
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads plus
 # the direct-vs-FFT FIR crossover; asserts thread-count invariance and
 # writes BENCH_pipeline.json. The committed baseline is saved first so
@@ -93,6 +102,9 @@ cargo run -q --release -p emprof-bench --bin query_soak -- --smoke
 # proven over arbitrary topologies.
 cargo test -q --release --test router_equivalence
 cargo test -q --release --test router_chaos
+# The router forwards SAMPLES verbatim but still verifies each frame
+# first, and renumbers frames correctly after a lossy migration.
+cargo test -q --release --test router_forward
 cargo test -q --release --test prop_ring
 
 # Router soak smoke: concurrent faulted sessions through a 3-backend
